@@ -1,14 +1,14 @@
 // Command detgate is the CI determinism and allocation gate.
 //
-// Determinism: it runs the golden scenarios from internal/scenarios
-// (healthy quickstart; a chaos variant with transient faults, shedding,
-// and the retry layer armed; and a crash variant with whole-node
-// outages, a RAID member loss, and the online rebuild under
-// restart-aware failover) twice each, requires bit-identical result
-// fingerprints and trace digests between the runs, and then diffs the
-// digests against a committed golden file — so a change that silently
-// moves the simulation's event history fails CI until the golden file is
-// deliberately regenerated:
+// Determinism: it runs the four golden scenarios from
+// internal/scenarios (healthy quickstart; a chaos variant with transient
+// faults, shedding, and the retry layer armed; a crash variant with
+// whole-node outages, a RAID member loss, and the online rebuild under
+// restart-aware failover; and the prefetcher tournament) twice each,
+// requires bit-identical result fingerprints and trace digests between
+// the runs, and then diffs the digests against a committed golden file —
+// so a change that silently moves the simulation's event history fails
+// CI until the golden file is deliberately regenerated:
 //
 //	go run ./cmd/detgate -update
 //
@@ -20,16 +20,9 @@
 // bit-identical to shards=1 — that equality is the determinism proof of
 // the conservative-lookahead parallel scheduler, gated on every CI run.
 //
-// Ladder queue: every golden scenario is also run with the kernels on
-// the amortized-O(1) ladder event queue (machine.Config.Queue) — on the
-// legacy engine and on the sharded engine at every worker count in the
-// matrix. The ladder realizes the identical (time, seq) total order, so
-// these runs must reproduce the heap digests bit for bit; there are no
-// separate ladder golden lines, the equality IS the gate.
-//
 // Allocation: with -allocs it shells out to `go test -bench` and asserts
 // that the zero-allocation hot paths — the DES kernel and mesh micros,
-// the event-queue hold-model benches (heap and ladder), the cross-shard
+// the event queue's hold-model bench at depths 1k and 100k, the cross-shard
 // post/drain path, plus the pfs client steady-state read and ionode
 // service paths — still report 0 allocs/op.
 package main
@@ -42,7 +35,6 @@ import (
 	"strings"
 
 	"repro/internal/scenarios"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -90,43 +82,20 @@ func main() {
 			fmt.Sprintf("%s fingerprint %016x", sc.Name, fp1),
 			fmt.Sprintf("%s trace %016x", sc.Name, td1))
 
-		// Ladder-queue twin on the legacy engine: same total order, so
-		// the heap digests must be reproduced exactly — the equality is
-		// the gate, no separate golden lines.
-		lfp, ltd, err := digests(scenarios.WithQueue(sc, sim.QueueLadder))
-		if err != nil {
-			fatal(err.Error())
-		}
-		if lfp != fp1 || ltd != td1 {
-			fatal(fmt.Sprintf("%s: ladder-queue run diverged from the heap: fingerprint %016x vs %016x, trace %016x vs %016x",
-				sc.Name, lfp, fp1, ltd, td1))
-		}
-
 		// Sharded matrix: shards=1 is golden; 2, 4, and 8 workers must
-		// reproduce it bit for bit — and so must the ladder queue at
-		// every worker count.
+		// reproduce it bit for bit.
 		sfp, std, err := digests(scenarios.WithShards(sc, 1))
 		if err != nil {
 			fatal(err.Error())
 		}
-		for _, n := range []int{1, 2, 4, 8} {
-			if n > 1 {
-				nfp, ntd, err := digests(scenarios.WithShards(sc, n))
-				if err != nil {
-					fatal(err.Error())
-				}
-				if nfp != sfp || ntd != std {
-					fatal(fmt.Sprintf("%s: sharded run at %d workers diverged from shards=1: fingerprint %016x vs %016x, trace %016x vs %016x",
-						sc.Name, n, nfp, sfp, ntd, std))
-				}
-			}
-			qfp, qtd, err := digests(scenarios.WithQueue(scenarios.WithShards(sc, n), sim.QueueLadder))
+		for _, n := range []int{2, 4, 8} {
+			nfp, ntd, err := digests(scenarios.WithShards(sc, n))
 			if err != nil {
 				fatal(err.Error())
 			}
-			if qfp != sfp || qtd != std {
-				fatal(fmt.Sprintf("%s: ladder-queue sharded run at %d workers diverged: fingerprint %016x vs %016x, trace %016x vs %016x",
-					sc.Name, n, qfp, sfp, qtd, std))
+			if nfp != sfp || ntd != std {
+				fatal(fmt.Sprintf("%s: sharded run at %d workers diverged from shards=1: fingerprint %016x vs %016x, trace %016x vs %016x",
+					sc.Name, n, nfp, sfp, ntd, std))
 			}
 		}
 		lines = append(lines,
@@ -165,7 +134,7 @@ var allocGatePackages = []struct {
 	pkg   string
 	bench string
 }{
-	{"./internal/sim/", "BenchmarkEventThroughput$|BenchmarkShardPostDrain$|BenchmarkQueuePushPop/(heap|ladder)/depth=(1k|100k)$"},
+	{"./internal/sim/", "BenchmarkEventThroughput$|BenchmarkShardPostDrain$|BenchmarkQueuePushPop/depth=(1k|100k)$"},
 	{"./internal/mesh/", "BenchmarkSend$"},
 	{"./internal/pfs/", "BenchmarkClientSteadyRead$"},
 	{"./internal/ionode/", "BenchmarkServicePath$"},
@@ -175,21 +144,19 @@ var allocGatePackages = []struct {
 // matched as the benchmark-name prefix of `go test -bench` output lines
 // (which append -N for GOMAXPROCS).
 var zeroAllocBenches = map[string]bool{
-	"BenchmarkEventThroughput":                true, // sim.Kernel event dispatch
-	"BenchmarkShardPostDrain":                 true, // cross-shard post/drain round trip
-	"BenchmarkQueuePushPop/heap/depth=1k":     true, // heap queue hold model, shallow
-	"BenchmarkQueuePushPop/heap/depth=100k":   true, // heap queue hold model, deep
-	"BenchmarkQueuePushPop/ladder/depth=1k":   true, // ladder queue hold model, shallow
-	"BenchmarkQueuePushPop/ladder/depth=100k": true, // ladder queue hold model, deep
-	"BenchmarkSend":                           true, // mesh message delivery
-	"BenchmarkClientSteadyRead":               true, // pfs client steady-state read path
-	"BenchmarkServicePath":                    true, // ionode request service path
+	"BenchmarkEventThroughput":         true, // sim.Kernel event dispatch
+	"BenchmarkShardPostDrain":          true, // cross-shard post/drain round trip
+	"BenchmarkQueuePushPop/depth=1k":   true, // event queue hold model, shallow
+	"BenchmarkQueuePushPop/depth=100k": true, // event queue hold model, deep
+	"BenchmarkSend":                    true, // mesh message delivery
+	"BenchmarkClientSteadyRead":        true, // pfs client steady-state read path
+	"BenchmarkServicePath":             true, // ionode request service path
 }
 
 func gateAllocs() {
 	// One `go test` per package: -bench regexps are slash-split into
 	// per-level patterns (sub-benchmark paths like
-	// QueuePushPop/ladder/depth=1k), so filters from different packages
+	// QueuePushPop/depth=1k), so filters from different packages
 	// cannot be joined with | without scrambling the levels.
 	seen := 0
 	for _, g := range allocGatePackages {

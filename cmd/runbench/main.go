@@ -1,10 +1,12 @@
-// Command runbench is the end-to-end benchmark harness: it runs the
-// three golden scenarios (healthy quickstart, chaos, crash) — the exact
-// runs cmd/detgate digests — and reports how fast the simulator gets
-// through them: events per wall-second, simulated seconds per
-// wall-second, and heap allocations per simulated read. Results land in
+// Command runbench is the golden-scenario benchmark harness: it runs the
+// four golden scenarios (healthy quickstart, chaos, crash, tournament) —
+// the exact runs cmd/detgate digests — and reports how fast the
+// simulator gets through them: events per wall-second, simulated seconds
+// per wall-second, and heap allocations per simulated read. -scenario
+// picks one of them, or the 1024×256 scale scenario. Results land in
 // BENCH_run.json next to BENCH_sweep.json (regenerate both with
-// `make bench`).
+// `make bench`). The workload-scale benchmark with the per-layer ledger
+// is benchsuite/ (see internal/runbench).
 //
 // Profile capture: -cpuprofile and -memprofile write standard pprof
 // files covering the measurement runs, for `go tool pprof`.
@@ -13,7 +15,10 @@
 // SAME machine and records the healthy-scenario speedup against it.
 // Numbers are wall-clock and machine-dependent — the JSON records
 // num_cpu and gomaxprocs, and comparing files from different hardware
-// measures the hardware, not the code.
+// measures the hardware, not the code. With -tolerance it is also a
+// regression gate on per-run wall time (see runbench.Gate); a scenario
+// whose result fingerprint differs from the baseline's is reported with
+// a caveat instead of gated, because the two runs did different work.
 //
 // Sharded engine: -shards takes a comma-separated list of worker counts
 // (e.g. -shards 1,2,4,8) and additionally measures the healthy scenario
@@ -33,12 +38,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/machine"
 	"repro/internal/runbench"
 	"repro/internal/scenarios"
 )
@@ -61,14 +64,17 @@ type report struct {
 	SpeedupHealthy       float64 `json:"speedup_healthy,omitempty"`
 
 	// Regression gate (present only with -baseline -tolerance): every
-	// scenario measured by both reports must retire at least
-	// tolerance × the baseline's events/sec, or the run exits non-zero
-	// (after writing the JSON, so the regressed numbers are inspectable).
-	// BaselineCaveat records the one legitimate skip: the baseline came
-	// from a host with a different CPU count, so the wall-clock ratio
-	// would measure hardware, not code.
-	Tolerance      float64 `json:"tolerance,omitempty"`
-	BaselineCaveat string  `json:"baseline_caveat,omitempty"`
+	// scenario measured by both reports must finish a run within
+	// baseline wall_sec / tolerance, or the run exits non-zero (after
+	// writing the JSON, so the regressed numbers are inspectable).
+	// BaselineCaveat records the one legitimate skip of the whole gate:
+	// the baseline came from a host with a different CPU count, so the
+	// wall-clock ratio would measure hardware, not code. GateCaveats
+	// lists the scenarios left ungated because their fingerprints differ
+	// from the baseline's.
+	Tolerance      float64  `json:"tolerance,omitempty"`
+	BaselineCaveat string   `json:"baseline_caveat,omitempty"`
+	GateCaveats    []string `json:"gate_caveats,omitempty"`
 
 	// Sharded-engine measurements (present only with -shards): the
 	// healthy scenario at each worker count, in the order given, plus
@@ -85,30 +91,14 @@ func main() {
 		out        = flag.String("o", "BENCH_run.json", "output JSON path (- for stdout)")
 		iters      = flag.Int("iterations", 5, "runs per scenario; fastest wall-clock pass wins")
 		short      = flag.Bool("short", false, "CI smoke mode: one run per scenario")
-		only       = flag.String("scenario", "", "run only this golden scenario (quickstart, chaos, crash)")
+		only       = flag.String("scenario", "", "run only this scenario (quickstart, chaos, crash, tournament, or scale)")
 		baseline   = flag.String("baseline", "", "earlier BENCH_run.json from this machine to compute speedup against")
-		tolerance  = flag.Float64("tolerance", 0, "with -baseline: fail when a shared scenario's events/s drops below tolerance x baseline (0 disables; skipped with a caveat when the CPU counts differ)")
+		tolerance  = flag.Float64("tolerance", 0, "with -baseline: fail when a shared scenario's baseline wall_sec / this wall_sec drops below tolerance (0 disables; skipped with a caveat when the CPU counts differ, and per scenario when the fingerprints differ)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the measurement runs")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the measurement runs")
 		shardsList = flag.String("shards", "", "comma-separated sharded-engine worker counts to also measure (e.g. 1,2,4,8)")
-		queue      = flag.String("queue", "", "event-queue implementation for every measured scenario (heap, ladder; default: the config default). Scenario names are kept unchanged so -baseline comparisons still line up — each measurement records its queue in the JSON")
 	)
 	flag.Parse()
-	// applyQueue overrides the event queue without renaming the
-	// scenario: the ladder run gates directly against the committed
-	// heap baseline's scenario entries.
-	applyQueue := func(sc scenarios.Scenario) scenarios.Scenario {
-		if *queue == "" {
-			return sc
-		}
-		base := sc.Config
-		sc.Config = func() machine.Config {
-			cfg := base()
-			cfg.Queue = *queue
-			return cfg
-		}
-		return sc
-	}
 	opt := runbench.Options{Iterations: *iters}
 	if *short {
 		opt.Iterations = 1
@@ -146,7 +136,7 @@ func main() {
 		Scenarios:  map[string]runbench.Measurement{},
 	}
 	for _, sc := range scs {
-		m, err := runbench.Measure(applyQueue(sc), opt)
+		m, err := runbench.Measure(sc, opt)
 		if err != nil {
 			fatal(err.Error())
 		}
@@ -169,7 +159,7 @@ func main() {
 		var serial, widest runbench.Measurement
 		widestN := 0
 		for _, n := range counts {
-			m, err := runbench.Measure(applyQueue(scenarios.WithShards(matrix, n)), opt)
+			m, err := runbench.Measure(scenarios.WithShards(matrix, n), opt)
 			if err != nil {
 				fatal(err.Error())
 			}
@@ -217,27 +207,20 @@ func main() {
 			rep.Tolerance = *tolerance
 			if base.NumCPU != rep.NumCPU {
 				rep.BaselineCaveat = fmt.Sprintf(
-					"baseline measured on %d CPU(s), this host has %d: regression gate skipped (the events/s ratio would measure hardware, not code)",
+					"baseline measured on %d CPU(s), this host has %d: regression gate skipped (the wall-time ratio would measure hardware, not code)",
 					base.NumCPU, rep.NumCPU)
 				fmt.Println("caveat:", rep.BaselineCaveat)
 			} else {
-				names := make([]string, 0, len(base.Scenarios))
-				for name := range base.Scenarios {
-					names = append(names, name)
-				}
-				sort.Strings(names)
-				for _, name := range names {
-					bm := base.Scenarios[name]
-					nm, ok := rep.Scenarios[name]
-					if !ok || bm.EventsPerSec <= 0 {
-						continue
+				for _, g := range runbench.Gate(base.Scenarios, rep.Scenarios, *tolerance) {
+					fmt.Printf("gate %-10s %.2fx of baseline speed (wall-time ratio)\n", g.Scenario, g.Ratio)
+					if g.Caveat != "" {
+						rep.GateCaveats = append(rep.GateCaveats, g.Caveat)
+						fmt.Println("caveat:", g.Caveat)
 					}
-					ratio := nm.EventsPerSec / bm.EventsPerSec
-					fmt.Printf("gate %-10s %.2fx of baseline events/s\n", name, ratio)
-					if ratio < *tolerance {
+					if g.Regressed {
 						regressions = append(regressions, fmt.Sprintf(
-							"%s: %.0f events/s is %.2fx of the baseline's %.0f (tolerance %.2f)",
-							name, nm.EventsPerSec, ratio, bm.EventsPerSec, *tolerance))
+							"%s: %.6fs per run is %.2fx the baseline's speed (%.6fs; tolerance %.2f)",
+							g.Scenario, rep.Scenarios[g.Scenario].WallSec, g.Ratio, base.Scenarios[g.Scenario].WallSec, *tolerance))
 					}
 				}
 			}

@@ -55,16 +55,6 @@
 // oversubscribe the CPUs:
 //
 //	simcheck -seeds 25 -parallel 4 -shards 4
-//
-// The -queue NAME flag arms the queue differential twin: every checked
-// scenario is re-run with machine.Config.Queue set to NAME (e.g. the
-// amortized-O(1) "ladder" queue) and must reproduce the base run's
-// result fingerprint and trace digest bit for bit — the two queue
-// implementations realize the identical (time, seq) total order, so any
-// divergence is a queue bug. Composes with every mode and with -shards
-// (the twin then runs sharded too):
-//
-//	simcheck -seeds 25 -shards 4 -queue ladder
 package main
 
 import (
@@ -90,7 +80,6 @@ func main() {
 		keepGoing = flag.Bool("keep-going", false, "sweep past the first failing seed")
 		parallel  = flag.Int("parallel", runtime.NumCPU(), "worker-pool width for the sweep (1 = serial)")
 		shards    = flag.Int("shards", 0, "run every scenario on the sharded engine with this many workers (0 = legacy single-kernel)")
-		queue     = flag.String("queue", "", "re-run every checked scenario under this event-queue implementation (e.g. ladder) and require bit-identical fingerprints and trace digests (the queue differential twin)")
 	)
 	flag.Parse()
 
@@ -103,7 +92,6 @@ func main() {
 		os.Exit(2)
 	}
 	simcheck.Shards = *shards
-	simcheck.QueueTwin = *queue
 	// Sharded runs are themselves parallel; shrink the outer sweep pool so
 	// outer×inner stays within the CPUs.
 	*parallel = sweep.Compose(*parallel, *shards)

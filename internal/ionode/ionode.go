@@ -77,7 +77,7 @@ type Server struct {
 	down      bool
 	downUntil sim.Time // advertised restart time while down (0 when up)
 	epoch     uint64   // incarnation counter; bumped by every crash
-	outages   []Outage // static outage schedule (sharded mode); nil = use the flags
+	outages   []Outage // static outage schedule (machine crash plans); nil = use the flags
 	tr        *trace.Log
 	opFree    []*srvOp   // pooled ReadCall bookkeeping
 	opMu      sync.Mutex // guards opFree: ops are recycled by the reply
@@ -161,7 +161,7 @@ func (s *Server) emit(kind trace.Kind, n int64) {
 // and future request is dropped without a reply, work in flight is
 // discarded when it completes (the epoch moved on), and the UFS cache is
 // wiped. The mesh must separately be told to drop deliveries
-// (mesh.SetDown); the machine layer does both.
+// (mesh.AddOutage); the machine layer does both.
 func (s *Server) Crash(until sim.Time) {
 	s.Crashes++
 	s.down = true

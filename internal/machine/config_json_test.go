@@ -23,8 +23,7 @@ func TestConfigRoundTrip(t *testing.T) {
 	orig.MemberFail = MemberFailPlan{At: 3 * sim.Second, Array: 1, Member: 2}
 	orig.Rebuild = disk.RebuildPolicy{Chunk: 128 << 10, Gap: 5 * sim.Millisecond}
 	orig.NoParity = true
-	orig.Shards = 4              // engine selection must survive the round trip too
-	orig.Queue = sim.QueueLadder // and so must the event-queue selection
+	orig.Shards = 4 // engine selection must survive the round trip too
 	// Same for the prefetcher-zoo knobs: every controller field non-zero.
 	orig.Prefetch = PrefetchOptions{
 		Policy: "hybrid",

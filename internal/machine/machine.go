@@ -121,14 +121,6 @@ type Config struct {
 	// Ignored in legacy mode (Shards == 0).
 	IOGroups int
 
-	// Queue selects the kernel's event-queue implementation:
-	// sim.QueueHeap (binary min-heap), sim.QueueLadder (amortized-O(1)
-	// ladder queue), or "" for the default (heap). Both realize the
-	// identical (time, seq) total order, so the choice changes
-	// per-event cost only — fingerprints and trace digests are
-	// bit-identical, and detgate pins that on the golden scenarios.
-	Queue string
-
 	// DiskFaultRate arms per-request fault injection on every member
 	// disk (0 disables). Faults surface as read errors at the
 	// application, with the prefetcher falling back to direct reads.
@@ -242,10 +234,10 @@ func Build(cfg Config) *Machine {
 		if cfg.IOGroups > 0 && cfg.IOGroups < groups {
 			groups = cfg.IOGroups
 		}
-		ss = sim.NewShardSetQueue(1+groups, cfg.Mesh.HopLatency+cfg.Mesh.RecvOverhead, cfg.Queue)
+		ss = sim.NewShardSet(1+groups, cfg.Mesh.HopLatency+cfg.Mesh.RecvOverhead)
 		k = ss.Kernel(0)
 	} else {
-		k = sim.NewKernelQueue(cfg.Queue)
+		k = sim.NewKernel()
 	}
 	m := mesh.New(k, cfg.Mesh)
 	mach := &Machine{K: k, Mesh: m, cfg: cfg, ss: ss}
@@ -280,11 +272,10 @@ func Build(cfg Config) *Machine {
 		srv := ionode.New(ki, m, cfg.ComputeNodes+i, fs, cfg.Dispatch)
 		srv.SetShedPolicy(cfg.Shed)
 		srv.SetFairPolicy(cfg.Fair)
-		if ss != nil {
-			// Reply-delivery callbacks run on the requesters' shard;
-			// service-time observation must read that clock.
-			srv.SetReplyClock(k)
-		}
+		// Reply-delivery callbacks run on the requesters' kernel (the
+		// server's own one on the legacy engine); service-time
+		// observation must read that clock.
+		srv.SetReplyClock(k)
 		mach.Servers = append(mach.Servers, srv)
 	}
 	mach.FS = pfs.Mount(k, m, mach.Servers, cfg.PFS)
@@ -355,35 +346,24 @@ func (m *Machine) scheduleCrashes(plan CrashPlan) {
 				merged = append(merged, o)
 			}
 		}
+		// The crash/restart events run on the victim's own kernel, and
+		// health queries from other nodes (mesh delivery, client
+		// down-polling) consult the static schedule instead of runtime
+		// flags, so no node reads another's mutable state on either engine.
 		srv := m.Servers[i]
+		ki := m.K
 		if m.ss != nil {
-			// Sharded mode: the crash/restart events run on the victim's
-			// own shard, and cross-shard health queries (mesh delivery,
-			// client down-polling) consult the static schedule instead of
-			// runtime flags — same send-time semantics, no shared state.
-			ki := m.ss.Kernel(m.ioGroup(i))
-			sched := make([]ionode.Outage, 0, len(merged))
-			for _, o := range merged {
-				o := o
-				ki.At(o.at, func() { srv.Crash(o.until) })
-				ki.At(o.until, func() { srv.Restart() })
-				m.Mesh.AddOutage(srv.Node(), o.at, o.until)
-				sched = append(sched, ionode.Outage{At: o.at, Until: o.until})
-			}
-			srv.SetOutageSchedule(sched)
-			continue
+			ki = m.ss.Kernel(m.ioGroup(i))
 		}
+		sched := make([]ionode.Outage, 0, len(merged))
 		for _, o := range merged {
 			o := o
-			m.K.At(o.at, func() {
-				m.Mesh.SetDown(srv.Node(), true)
-				srv.Crash(o.until)
-			})
-			m.K.At(o.until, func() {
-				m.Mesh.SetDown(srv.Node(), false)
-				srv.Restart()
-			})
+			ki.At(o.at, func() { srv.Crash(o.until) })
+			ki.At(o.until, srv.Restart)
+			m.Mesh.AddOutage(srv.Node(), o.at, o.until)
+			sched = append(sched, ionode.Outage{At: o.at, Until: o.until})
 		}
+		srv.SetOutageSchedule(sched)
 	}
 }
 
@@ -481,15 +461,6 @@ func (m *Machine) PerGroupExecuted() []uint64 {
 		return m.ss.PerGroupExecuted()
 	}
 	return nil
-}
-
-// QueueName reports which event-queue implementation the machine's
-// kernels run on (resolving the config default).
-func (m *Machine) QueueName() string {
-	if m.ss != nil {
-		return m.ss.QueueName()
-	}
-	return m.K.QueueName()
 }
 
 // MaxQueueDepth reports the deepest any kernel's event queue ever got —

@@ -81,15 +81,14 @@ type Mesh struct {
 	linkFree   []sim.Time // per-link clock, indexed linkIndex(node, dir): earliest next use
 	injectFree []sim.Time // per-node injection port clock
 	ejectFree  []sim.Time // per-node ejection port clock
-	down       []bool     // nodes whose deliveries are dropped (crashed)
+	outages    [][]outage // per-node static down intervals (see AddOutage)
 
 	// Sharded mode (BindShards): sends are deferred into per-group
 	// outboxes and resolved at round barriers; see Resolve. The link and
 	// port clocks above stay global — they are only ever advanced from
 	// Resolve, which runs single-threaded in canonical order.
 	shards  *sim.ShardSet
-	groupOf []int      // node -> shard group
-	outages [][]outage // per-node static down intervals (replaces SetDown)
+	groupOf []int // node -> shard group
 
 	// Measurements.
 	Messages int64
@@ -99,10 +98,11 @@ type Mesh struct {
 }
 
 // outage is one closed-open [at, until) interval during which a node
-// drops deliveries. Sharded runs use a static schedule instead of the
-// SetDown flag because the flag would be read from other groups'
-// execution contexts; the machine layer knows every outage at build
-// time, so the lookup can be a pure function of the send time.
+// drops deliveries. Outages are a static schedule rather than a runtime
+// flag because a flag would be read from other groups' execution
+// contexts in a sharded run; the machine layer knows every outage at
+// build time, so the lookup is a pure function of the send time on
+// either engine.
 type outage struct{ at, until sim.Time }
 
 // New builds a mesh on kernel k. It panics on a non-positive geometry or
@@ -121,23 +121,8 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 		linkFree:   make([]sim.Time, n*4),
 		injectFree: make([]sim.Time, n),
 		ejectFree:  make([]sim.Time, n),
-		down:       make([]bool, n),
+		outages:    make([][]outage, n),
 	}
-}
-
-// SetDown marks a node slot down (or back up). Messages addressed to a
-// down node traverse the mesh — the links do not know the destination
-// died — but the delivery callback never runs: the NIC has no host to
-// hand the message to. Senders see nothing, exactly like the real
-// machine, and discover the loss by timeout.
-func (m *Mesh) SetDown(node int, down bool) {
-	if m.shards != nil {
-		panic("mesh: SetDown is a legacy-mode control; sharded runs use the static AddOutage schedule")
-	}
-	if node < 0 || node >= m.Nodes() {
-		panic(fmt.Sprintf("mesh: node %d outside %d-node mesh", node, m.Nodes()))
-	}
-	m.down[node] = down
 }
 
 // Nodes reports the number of node slots in the mesh.
@@ -173,19 +158,18 @@ func (m *Mesh) BindShards(ss *sim.ShardSet, groupOf []int) {
 	}
 	m.shards = ss
 	m.groupOf = append([]int(nil), groupOf...)
-	m.outages = make([][]outage, m.Nodes())
 	ss.SetResolver(m)
 }
 
 // AddOutage schedules a static delivery outage for node over [at,
-// until): sharded mode's replacement for runtime SetDown calls. Must be
-// called before the simulation runs; intervals of one node must be
-// added in nondecreasing, non-overlapping order (the machine layer
-// merges them).
+// until). Messages sent to the node inside the interval traverse the
+// mesh — the links do not know the destination died — but the delivery
+// callback never runs: the NIC has no host to hand the message to.
+// Senders see nothing, exactly like the real machine, and discover the
+// loss by timeout. An outage must be added before the simulation
+// reaches its start; intervals of one node must be added in
+// nondecreasing, non-overlapping order (the machine layer merges them).
 func (m *Mesh) AddOutage(node int, at, until sim.Time) {
-	if m.shards == nil {
-		panic("mesh: AddOutage requires sharded mode (BindShards)")
-	}
 	if node < 0 || node >= m.Nodes() {
 		panic(fmt.Sprintf("mesh: node %d outside %d-node mesh", node, m.Nodes()))
 	}
@@ -195,28 +179,23 @@ func (m *Mesh) AddOutage(node int, at, until sim.Time) {
 	m.outages[node] = append(m.outages[node], outage{at: at, until: until})
 }
 
-// downAt reports whether node drops deliveries for a message sent at t:
-// the static schedule in sharded mode, the SetDown flag otherwise (both
-// are evaluated at send time, like the legacy path).
+// downAt reports whether node drops deliveries for a message sent at t.
+// AddOutage requires sorted, non-overlapping intervals per node, so a
+// binary search for the first interval ending after t replaces a linear
+// scan (chaos schedules at large node counts put many outages on the
+// hot delivery path).
 func (m *Mesh) downAt(node int, t sim.Time) bool {
-	if m.shards != nil {
-		// AddOutage requires sorted, non-overlapping intervals per node,
-		// so a binary search for the first interval ending after t
-		// replaces the linear scan (chaos schedules at large node counts
-		// put many outages on the hot delivery path).
-		list := m.outages[node]
-		lo, hi := 0, len(list)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if list[mid].until <= t {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	list := m.outages[node]
+	lo, hi := 0, len(list)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if list[mid].until <= t {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		return lo < len(list) && t >= list[lo].at
 	}
-	return m.down[node]
+	return lo < len(list) && t >= list[lo].at
 }
 
 // coord maps a node id to mesh coordinates.

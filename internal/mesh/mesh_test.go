@@ -262,10 +262,13 @@ func TestRandomTrafficDelivers(t *testing.T) {
 	}
 }
 
+// TestDownNodeDropsTraffic: a message sent to a node inside one of its
+// [at, until) outages is dropped at the destination, and traffic flows
+// again from until on.
 func TestDownNodeDropsTraffic(t *testing.T) {
 	k := sim.NewKernel()
 	m := New(k, testConfig())
-	m.SetDown(5, true)
+	m.AddOutage(5, 0, sim.Millisecond)
 	delivered := false
 	m.Send(0, 5, 4096, func() { delivered = true })
 	if err := k.Run(); err != nil {
@@ -281,9 +284,8 @@ func TestDownNodeDropsTraffic(t *testing.T) {
 	if m.Messages != 1 || m.Bytes != 4096 {
 		t.Fatalf("Messages=%d Bytes=%d, want 1/4096", m.Messages, m.Bytes)
 	}
-	// Back up: traffic flows again.
-	m.SetDown(5, false)
-	m.Send(0, 5, 4096, func() { delivered = true })
+	// Back up at the interval's open end: traffic flows again.
+	k.At(sim.Millisecond, func() { m.Send(0, 5, 4096, func() { delivered = true }) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -295,13 +297,13 @@ func TestDownNodeDropsTraffic(t *testing.T) {
 	}
 }
 
-func TestSetDownBoundsPanic(t *testing.T) {
+func TestAddOutageBoundsPanic(t *testing.T) {
 	k := sim.NewKernel()
 	m := New(k, testConfig())
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SetDown out of range did not panic")
+			t.Fatal("AddOutage out of range did not panic")
 		}
 	}()
-	m.SetDown(99, true)
+	m.AddOutage(99, 0, sim.Millisecond)
 }

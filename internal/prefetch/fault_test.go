@@ -213,12 +213,10 @@ func TestPrefetchIntoCrashRetiresSlot(t *testing.T) {
 		// 200 ms — far past the 60 ms down deadline, so the prefetch cannot
 		// wait it out.
 		srv := m.Servers[1]
-		m.Mesh.SetDown(srv.Node(), true)
-		srv.Crash(p.Now() + 200*sim.Millisecond)
-		m.K.After(200*sim.Millisecond, func() {
-			m.Mesh.SetDown(srv.Node(), false)
-			srv.Restart()
-		})
+		until := p.Now() + 200*sim.Millisecond
+		m.Mesh.AddOutage(srv.Node(), p.Now(), until)
+		srv.Crash(until)
+		m.K.At(until, srv.Restart)
 		p.Sleep(300 * sim.Millisecond)
 		outstandingAfterCrash = pf.Outstanding(f)
 		// The node is back: the demand read for the lost record succeeds.

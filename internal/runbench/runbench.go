@@ -1,15 +1,28 @@
 // Package runbench measures end-to-end simulation throughput on the
-// golden scenarios: wall-clock per run, kernel events retired per
-// wall-second, simulated seconds advanced per wall-second, and heap
-// allocations per simulated read. cmd/runbench is the CLI wrapper that
-// writes BENCH_run.json; the measurement core lives here so tests can
-// prove that measuring a run does not perturb it (identical result
-// fingerprint and trace digest with measurement on or off).
+// golden scenarios of internal/scenarios (and the scale scenario):
+// wall-clock per run, kernel events retired per wall-second, simulated
+// seconds advanced per wall-second, and heap allocations per simulated
+// read. cmd/runbench is the CLI wrapper that writes BENCH_run.json and
+// gates a build against an earlier one (Gate); the measurement core
+// lives here so tests can prove that measuring a run does not perturb
+// it (identical result fingerprint and trace digest with measurement on
+// or off).
+//
+// runbench times the exact runs cmd/detgate digests. Those runs are
+// small (16 reads, well under a millisecond of wall time each), so
+// runbench answers "did the simulator's per-event cost move on the
+// gated scenarios". The separate benchsuite/ module (run with
+// `bash benchsuite/run.sh`) is the end-to-end benchmark: five
+// workloads large enough that machine setup does not dominate, timed
+// for a fixed wall-clock budget, with a per-layer CPU and
+// simulated-time ledger. benchsuite imports the machine and sim
+// packages, not this one.
 package runbench
 
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"time"
 
 	"repro/internal/scenarios"
@@ -54,14 +67,11 @@ type Measurement struct {
 	Fingerprint   string  `json:"fingerprint"`     // workload.Result.Fingerprint, %016x
 	TraceDigest   string  `json:"trace_digest"`    // trace.Log.Digest, %016x
 
-	// Queue is the event-queue implementation the kernels ran on (heap
-	// or ladder); MaxQueueDepth is the deepest any kernel's queue got —
-	// a deterministic property of the schedule, and the depth at which
-	// the queue implementations' costs diverge. BarrierDrainSec is the
+	// MaxQueueDepth is the deepest any kernel's event queue got — a
+	// deterministic property of the schedule. BarrierDrainSec is the
 	// wall-clock total of the sharded engine's single-threaded barrier
 	// drain during the instrumented run (sharded only): the serial
 	// fraction that bounds parallel speedup.
-	Queue           string  `json:"queue"`
 	MaxQueueDepth   int     `json:"max_queue_depth"`
 	BarrierDrainSec float64 `json:"barrier_drain_sec,omitempty"`
 
@@ -134,7 +144,6 @@ func Measure(sc scenarios.Scenario, opt Options) (Measurement, error) {
 		m.AllocsPerRead = float64(ms1.Mallocs-ms0.Mallocs) / float64(res.ReadCalls)
 		m.BytesPerRead = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(res.ReadCalls)
 	}
-	m.Queue = res.Machine.QueueName()
 	m.MaxQueueDepth = res.Machine.MaxQueueDepth()
 	m.BarrierDrainSec = res.Machine.BarrierDrainWall().Seconds()
 	m.Fingerprint = fmt.Sprintf("%016x", res.Fingerprint())
@@ -167,4 +176,47 @@ func Measure(sc scenarios.Scenario, opt Options) (Measurement, error) {
 		m.EventsPerSec = float64(m.Events) / m.WallSec
 	}
 	return m, nil
+}
+
+// GateResult is one scenario's verdict from Gate.
+type GateResult struct {
+	Scenario string
+	// Ratio is the baseline's per-run wall time over this build's: above
+	// 1 this build is faster, below the tolerance it regressed.
+	Ratio     float64
+	Regressed bool
+	// Caveat is set, and Regressed left false, when the two runs'
+	// result fingerprints differ: they did different work, so their wall
+	// times are not comparable.
+	Caveat string
+}
+
+// Gate holds every scenario measured in both cur and base to per-run
+// wall time: base.WallSec / cur.WallSec must be at least tolerance.
+// Wall time is the quantity a user waits for; events/s is not, because a
+// change that retires fewer events while finishing sooner would lower it.
+// Results come back in scenario-name order.
+func Gate(base, cur map[string]Measurement, tolerance float64) []GateResult {
+	names := make([]string, 0, len(base))
+	for name := range base {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var out []GateResult
+	for _, name := range names {
+		bm := base[name]
+		nm, ok := cur[name]
+		if !ok || bm.WallSec <= 0 || nm.WallSec <= 0 {
+			continue
+		}
+		r := GateResult{Scenario: name, Ratio: bm.WallSec / nm.WallSec}
+		if bm.Fingerprint != nm.Fingerprint {
+			r.Caveat = fmt.Sprintf("%s: fingerprint %s differs from the baseline's %s, so the runs did different work and the %.2fx wall-time ratio is not gated",
+				name, nm.Fingerprint, bm.Fingerprint, r.Ratio)
+		} else {
+			r.Regressed = r.Ratio < tolerance
+		}
+		out = append(out, r)
+	}
+	return out
 }

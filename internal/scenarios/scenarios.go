@@ -1,6 +1,7 @@
-// Package scenarios defines the three golden scenarios — healthy
-// quickstart, chaos, and crash — shared by the determinism gate
-// (cmd/detgate) and the end-to-end benchmark harness (cmd/runbench).
+// Package scenarios defines the four golden scenarios — healthy
+// quickstart, chaos, crash, and tournament — plus the 1024×256 scale
+// scenario, shared by the determinism gate (cmd/detgate) and the
+// end-to-end benchmark harness (cmd/runbench).
 // Both tools must run literally the same machine configuration and
 // workload spec: detgate pins the event history of these runs with
 // committed digests, and runbench quotes throughput numbers for them, so
@@ -157,24 +158,6 @@ func WithShards(sc Scenario, n int) Scenario {
 		Config: func() machine.Config {
 			cfg := base()
 			cfg.Shards = n
-			return cfg
-		},
-		Tweak: sc.Tweak,
-	}
-}
-
-// WithQueue returns sc reconfigured to run its kernels on the named
-// event-queue implementation (sim.QueueHeap / sim.QueueLadder),
-// renamed "<name>@queue=<q>". Both queues realize the identical
-// (time, seq) total order, so detgate asserts the renamed run's
-// digests equal the original's rather than recording new goldens.
-func WithQueue(sc Scenario, queue string) Scenario {
-	base := sc.Config
-	return Scenario{
-		Name: fmt.Sprintf("%s@queue=%s", sc.Name, queue),
-		Config: func() machine.Config {
-			cfg := base()
-			cfg.Queue = queue
 			return cfg
 		},
 		Tweak: sc.Tweak,

@@ -13,7 +13,9 @@ func BenchmarkSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.At(k.Now(), fn)
 		if k.Pending() >= 1024 {
-			if err := k.Run(); err != nil {
+			// RunUntil keeps the queue's storage; Run would drop it on
+			// return and the next batch would regrow it.
+			if err := k.RunUntil(k.Now()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -44,38 +46,25 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkQueuePushPop compares the two event-queue implementations
-// head to head on the classic hold model — pop the earliest event,
-// reschedule it a pseudo-random increment later — at three resident
-// depths. The heap pays an O(log n) sift per operation; the ladder is
-// amortized O(1), and its steady state must allocate nothing (the
-// 1k/100k variants are gated at 0 allocs/op by detgate -allocs).
+// BenchmarkQueuePushPop measures the event queue on the classic hold
+// model — pop the earliest event, reschedule it a pseudo-random
+// increment later — at three resident depths. The ladder is amortized
+// O(1), and its steady state must allocate nothing (the 1k/100k
+// variants are gated at 0 allocs/op by detgate -allocs).
 func BenchmarkQueuePushPop(b *testing.B) {
 	depths := []struct {
 		name string
 		n    int
 	}{{"1k", 1 << 10}, {"100k", 100_000}, {"1M", 1 << 20}}
-	for _, impl := range []string{QueueHeap, QueueLadder} {
-		for _, d := range depths {
-			b.Run(impl+"/depth="+d.name, func(b *testing.B) {
-				benchQueuePushPop(b, impl, d.n)
-			})
-		}
+	for _, d := range depths {
+		b.Run("depth="+d.name, func(b *testing.B) {
+			benchQueuePushPop(b, d.n)
+		})
 	}
 }
 
-func benchQueuePushPop(b *testing.B, impl string, depth int) {
-	var q interface {
-		push(*event)
-		pop() *event
-	}
-	switch impl {
-	case QueueHeap:
-		h := make(eventHeap, 0, depth+1)
-		q = &h
-	case QueueLadder:
-		q = newLadderQueue()
-	}
+func benchQueuePushPop(b *testing.B, depth int) {
+	q := newLadderQueue()
 	// Deterministic xorshift increments; no wall clock or math/rand so
 	// the run is pinned and alloc-gateable.
 	rnd := uint64(0x9e3779b97f4a7c15)
@@ -110,8 +99,9 @@ func benchQueuePushPop(b *testing.B, impl string, depth int) {
 	}
 }
 
-// BenchmarkHeapChurn exercises the event heap with a wide pending set.
-func BenchmarkHeapChurn(b *testing.B) {
+// BenchmarkKernelChurn exercises the kernel's event queue with a wide
+// pending set.
+func BenchmarkKernelChurn(b *testing.B) {
 	k := NewKernel()
 	for i := 0; i < 1024; i++ {
 		i := i

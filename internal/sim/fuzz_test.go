@@ -2,11 +2,12 @@ package sim
 
 import "testing"
 
-// FuzzQueueOrder feeds both event-queue implementations arbitrary
-// interleavings of pushes (times at four magnitudes, from adjacent
-// ticks to far-future DownDeadline-scale timers, including exact ties)
-// and pops, and asserts the ladder queue's pop sequence equals the
-// heap's exactly — the (time, seq) total order both must realize.
+// FuzzQueueOrder feeds the ladder queue and the sorted-slice reference
+// model (refQueue) arbitrary interleavings of pushes (times at four
+// magnitudes, from adjacent ticks to far-future DownDeadline-scale
+// timers, including exact ties) and pops, and asserts the ladder's pop
+// sequence equals the model's exactly — the kernel's (time, seq) total
+// order.
 func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 255, 3, 3})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7})
@@ -17,14 +18,14 @@ func FuzzQueueOrder(f *testing.F) {
 		if len(data) > 256 {
 			data = data[:256]
 		}
-		hp := &eventHeap{}
+		ref := &refQueue{}
 		lq := newLadderQueue()
 		var seq uint64
 		size := 0
 		popBoth := func() {
-			a, b := hp.pop(), lq.pop()
+			a, b := ref.pop(), lq.pop()
 			if a.t != b.t || a.seq != b.seq {
-				t.Fatalf("pop mismatch: heap (%v, %d) vs ladder (%v, %d)", a.t, a.seq, b.t, b.seq)
+				t.Fatalf("pop mismatch: reference (%v, %d) vs ladder (%v, %d)", a.t, a.seq, b.t, b.seq)
 			}
 			size--
 		}
@@ -55,7 +56,7 @@ func FuzzQueueOrder(f *testing.F) {
 			}
 			tm := Time(v * scale & (1<<62 - 1))
 			seq++
-			hp.push(&event{t: tm, seq: seq})
+			ref.push(&event{t: tm, seq: seq})
 			lq.push(&event{t: tm, seq: seq})
 			size++
 		}
@@ -73,7 +74,7 @@ func FuzzQueueOrder(f *testing.F) {
 // running — and asserts the kernel's core contract: every scheduled
 // event executes exactly once, execution time never goes backwards, and
 // events at the same instant run in FIFO scheduling order (the (t, seq)
-// heap discipline every higher layer's determinism rests on).
+// discipline every higher layer's determinism rests on).
 func FuzzKernelOrdering(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
 	f.Add([]byte{7, 7, 7, 7})

@@ -2,9 +2,9 @@ package sim
 
 // This file implements a ladder queue (Tang, Goh & Thng's refinement of
 // the calendar queue): a priority queue over events with amortized O(1)
-// push and pop, replacing the binary heap's O(log n) sifts on the
-// kernel's hottest path. See DESIGN.md §12 for the invariants and the
-// ordering proof sketch; the short version:
+// push and pop. It is the kernel's only event queue, on the hottest
+// path of every simulation. See DESIGN.md §12 for the invariants, the
+// ordering proof sketch and the end-to-end numbers; the short version:
 //
 //   - The queue is a hierarchy of "rungs", each an array of equal-width
 //     time buckets covering a half-open interval. Rung 0 is the
@@ -17,19 +17,20 @@ package sim
 //     the only place events are ever compared pairwise.
 //
 //   - Exactness, not approximation: pop order is the kernel's (time,
-//     seq) total order, bit-identical to the heap's. Bucketing by time
-//     can never split a (t, seq) tie across buckets, and within one
-//     bucket events are appended in ascending seq order (pushes book
-//     seq monotonically; redistribution preserves relative order), so
-//     sorting a bucket by (t, seq) with a stable comparison reproduces
-//     the global order exactly. detgate pins this equivalence on the
-//     golden scenarios and FuzzQueueOrder hammers it on arbitrary
-//     interleavings.
+//     seq) total order. Bucketing by time can never split a (t, seq)
+//     tie across buckets, and within one bucket events are appended in
+//     ascending seq order (pushes book seq monotonically;
+//     redistribution preserves relative order), so sorting a bucket by
+//     (t, seq) with a stable comparison reproduces the global order
+//     exactly. FuzzQueueOrder and TestQueueDifferentialDistributions
+//     check it against a sorted-slice reference model, and detgate's
+//     golden digests pin it end to end.
 //
 //   - All storage (bucket arrays, bottom, top, sort scratch) is
 //     retained and reused across operations, so the steady state
 //     allocates nothing — gated by `detgate -allocs` via
-//     BenchmarkQueuePushPop.
+//     BenchmarkQueuePushPop. The storage is dropped only when a run
+//     returns with the queue empty (Kernel.releaseIdleQueue).
 //
 // Domain: event times in [0, 1<<62), the kernel's legal range (booking
 // in the past panics, Run's deadline is 1<<62 - 1). Within it the rung
@@ -105,9 +106,11 @@ type ladderQueue struct {
 	scratch []*event // reused merge-sort buffer
 }
 
-func newLadderQueue() *ladderQueue {
-	return &ladderQueue{topStart: ladderMinTime}
-}
+// reset returns the queue to its initial state and drops every bucket,
+// the top and bottom arrays and the sort scratch. It is only legal on an
+// empty queue; the next push starts a fresh epoch, as in pop's n == 0
+// recycle, but with nothing retained.
+func (q *ladderQueue) reset() { *q = ladderQueue{topStart: ladderMinTime} }
 
 // push inserts a booked event. Amortized O(1): almost every push is one
 // threshold comparison and an append; only events earlier than the

@@ -18,19 +18,46 @@ func (x *xorshift) next() uint64 {
 	return uint64(v)
 }
 
-// queueUnderTest abstracts the two implementations for differential
-// tests. Both must pop the identical (t, seq) order.
-type queueUnderTest interface {
-	push(*event)
-	pop() *event
+func newLadderQueue() *ladderQueue {
+	q := &ladderQueue{}
+	q.reset()
+	return q
+}
+
+// refQueue is the reference model the ladder is checked against: a slice
+// kept sorted by (t, seq) through a binary-search insert, popped from the
+// front. It shares no code with the ladder, not even its comparison.
+type refQueue []*event
+
+func (r *refQueue) push(e *event) {
+	q := *r
+	lo, hi := 0, len(q)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if q[mid].t < e.t || q[mid].t == e.t && q[mid].seq < e.seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	q = append(q, nil)
+	copy(q[lo+1:], q[lo:])
+	q[lo] = e
+	*r = q
+}
+
+func (r *refQueue) pop() *event {
+	e := (*r)[0]
+	*r = (*r)[1:]
+	return e
 }
 
 // TestQueueDifferentialDistributions drives the ladder queue and the
-// heap with identical (t, seq) streams across the time distributions
-// that exercise every ladder path — uniform narrow and wide spans,
-// heavy same-instant ties, bimodal near+far (the DownDeadline shape) —
-// first push-all/pop-all, then a hold-model interleaving, asserting the
-// pop sequences match exactly.
+// reference model with identical (t, seq) streams across the time
+// distributions that exercise every ladder path — uniform narrow and
+// wide spans, heavy same-instant ties, bimodal near+far (the
+// DownDeadline shape) — first push-all/pop-all, then a hold-model
+// interleaving, asserting the pop sequences match exactly.
 func TestQueueDifferentialDistributions(t *testing.T) {
 	dists := []struct {
 		name string
@@ -51,19 +78,19 @@ func TestQueueDifferentialDistributions(t *testing.T) {
 	for _, d := range dists {
 		for _, n := range sizes {
 			t.Run(fmt.Sprintf("%s/n=%d", d.name, n), func(t *testing.T) {
-				hp := &eventHeap{}
+				ref := &refQueue{}
 				lq := newLadderQueue()
 				r := xorshift(0xdeadbeef ^ uint64(n))
 				var seq uint64
 				push := func(tm Time) {
 					seq++
-					hp.push(&event{t: tm, seq: seq})
+					ref.push(&event{t: tm, seq: seq})
 					lq.push(&event{t: tm, seq: seq})
 				}
 				popBoth := func() Time {
-					a, b := hp.pop(), lq.pop()
+					a, b := ref.pop(), lq.pop()
 					if a.t != b.t || a.seq != b.seq {
-						t.Fatalf("pop mismatch: heap (%v, %d) vs ladder (%v, %d)", a.t, a.seq, b.t, b.seq)
+						t.Fatalf("pop mismatch: reference (%v, %d) vs ladder (%v, %d)", a.t, a.seq, b.t, b.seq)
 					}
 					return a.t
 				}
@@ -83,8 +110,8 @@ func TestQueueDifferentialDistributions(t *testing.T) {
 				if tm, ok := lq.peek(); ok {
 					t.Fatalf("ladder not empty after drain: peek %v", tm)
 				}
-				if lq.n != 0 || len(*hp) != 0 {
-					t.Fatalf("residual events: ladder %d, heap %d", lq.n, len(*hp))
+				if lq.n != 0 || len(*ref) != 0 {
+					t.Fatalf("residual events: ladder %d, reference %d", lq.n, len(*ref))
 				}
 			})
 		}
@@ -119,137 +146,135 @@ func TestLadderFarFutureTimer(t *testing.T) {
 	}
 }
 
-// TestNewKernelQueueNames: "" and "heap" select the heap, "ladder" the
-// ladder, anything else is a loud config error.
-func TestNewKernelQueueNames(t *testing.T) {
-	if got := NewKernelQueue("").QueueName(); got != QueueHeap {
-		t.Fatalf("default queue = %q, want %q", got, QueueHeap)
+// TestKernelMaxPending: the high-water mark counts the deepest the
+// queue got.
+func TestKernelMaxPending(t *testing.T) {
+	k := NewKernel()
+	for i := 0; i < 37; i++ {
+		k.At(Time(i), func() {})
 	}
-	if got := NewKernelQueue(QueueHeap).QueueName(); got != QueueHeap {
-		t.Fatalf("heap queue = %q", got)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if got := NewKernelQueue(QueueLadder).QueueName(); got != QueueLadder {
-		t.Fatalf("ladder queue = %q", got)
+	if got := k.MaxPending(); got != 37 {
+		t.Fatalf("MaxPending = %d, want 37", got)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on unknown queue name")
-		}
-	}()
-	NewKernelQueue("splay")
+	if got := k.Pending(); got != 0 {
+		t.Fatalf("Pending after drain = %d", got)
+	}
 }
 
-// TestKernelQueueEquivalence runs the same self-rescheduling workload on
-// a heap kernel and a ladder kernel and requires identical execution
-// records and fingerprints — the kernel-level differential the detgate
-// golden matrix extends to full scenarios.
-func TestKernelQueueEquivalence(t *testing.T) {
+// holdsStorage reports whether the queue retains any rung bucket, top,
+// bottom or sort-scratch array.
+func (q *ladderQueue) holdsStorage() bool {
+	if q.bottom != nil || q.top != nil || q.scratch != nil || q.nr != 0 {
+		return true
+	}
+	for _, r := range q.rungs {
+		if r.buckets != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// fill schedules n no-op events at pseudo-random times in
+// [now, now+span) on k. Bursts wider than ladderThresh make the ladder
+// spawn rungs and use its sort scratch.
+func fill(k *Kernel, r *xorshift, n int, span Time) {
+	for i := 0; i < n; i++ {
+		k.At(k.Now()+Time(r.next()%uint64(span)), func() {})
+	}
+}
+
+// checkOrderAfterRun books 300 events with heavy same-instant ties on k,
+// calls run, and asserts they all executed in (t, seq) order: time
+// never decreases, and same-instant events run in booking order.
+func checkOrderAfterRun(t *testing.T, k *Kernel, r *xorshift, run func() error) {
+	t.Helper()
 	type rec struct {
 		t  Time
 		id int
 	}
-	run := func(queue string) ([]rec, uint64) {
-		k := NewKernelQueue(queue)
-		var out []rec
-		r := xorshift(0x12345)
-		id := 0
-		var spawn func(depth int)
-		spawn = func(depth int) {
-			me := id
-			id++
-			k.After(Time(r.next()%5000), func() {
-				out = append(out, rec{k.Now(), me})
-				if depth < 4 && r.next()%3 == 0 {
-					spawn(depth + 1)
-					spawn(depth + 1)
-				}
-			})
-		}
-		for i := 0; i < 200; i++ {
-			spawn(0)
-		}
-		// A far-future daemon-style timer amid the churn.
-		k.After(10*Second, func() { out = append(out, rec{k.Now(), -1}) })
-		if err := k.Run(); err != nil {
-			t.Fatalf("%s run: %v", queue, err)
-		}
-		return out, k.Fingerprint()
+	var out []rec
+	for i := 0; i < 300; i++ {
+		id := i
+		k.At(k.Now()+Time(r.next()%64)*1000, func() { out = append(out, rec{k.Now(), id}) })
 	}
-	h, hfp := run(QueueHeap)
-	l, lfp := run(QueueLadder)
-	if hfp != lfp {
-		t.Fatalf("fingerprint mismatch: heap %016x, ladder %016x", hfp, lfp)
+	if err := run(); err != nil {
+		t.Fatal(err)
 	}
-	if len(h) != len(l) {
-		t.Fatalf("executed %d events on heap, %d on ladder", len(h), len(l))
+	if len(out) != 300 {
+		t.Fatalf("ran %d of 300 events scheduled after Run", len(out))
 	}
-	for i := range h {
-		if h[i] != l[i] {
-			t.Fatalf("execution %d: heap %+v, ladder %+v", i, h[i], l[i])
+	for i := 1; i < len(out); i++ {
+		if a, b := out[i-1], out[i]; b.t < a.t || b.t == a.t && b.id < a.id {
+			t.Fatalf("execution %d: event %d (t=%v) ran after event %d (t=%v)", i, b.id, b.t, a.id, a.t)
 		}
 	}
 }
 
-// TestKernelMaxPending: the high-water mark counts the deepest the
-// queue got, on both implementations.
-func TestKernelMaxPending(t *testing.T) {
-	for _, queue := range []string{QueueHeap, QueueLadder} {
-		k := NewKernelQueue(queue)
-		for i := 0; i < 37; i++ {
-			k.At(Time(i), func() {})
-		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if got := k.MaxPending(); got != 37 {
-			t.Fatalf("%s MaxPending = %d, want 37", queue, got)
-		}
-		if got := k.Pending(); got != 0 {
-			t.Fatalf("%s Pending after drain = %d", queue, got)
-		}
+// TestRunReleasesIdleQueue: once Kernel.Run drains the queue, the
+// ladder keeps no bucket, top, bottom or scratch storage, and events
+// scheduled afterwards still run in (t, seq) order from a fresh epoch.
+func TestRunReleasesIdleQueue(t *testing.T) {
+	k := NewKernel()
+	r := xorshift(0x5eed)
+	fill(k, &r, 500, 1_000_000)
+	if err := k.RunUntil(500_000); err != nil {
+		t.Fatal(err)
+	}
+	if k.q.nr == 0 {
+		t.Fatal("mid-run queue holds no rungs; the burst did not exercise the ladder")
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.q.holdsStorage() {
+		t.Fatal("queue storage retained after Run drained it")
+	}
+	checkOrderAfterRun(t, k, &r, k.Run)
+	if k.q.holdsStorage() {
+		t.Fatal("queue storage retained after the second Run")
 	}
 }
 
-// TestShardSetQueueEquivalence: a sharded ping-pong on ladder kernels
-// matches the heap fingerprint, and the drain-wall/max-depth telemetry
-// is populated.
-func TestShardSetQueueEquivalence(t *testing.T) {
+// TestShardSetRunReleasesIdleQueues: after ShardSet.Run every group's
+// queue is storage-free, the depth and drain-wall telemetry is
+// populated, and events booked on a group after Run still run in
+// (t, seq) order.
+func TestShardSetRunReleasesIdleQueues(t *testing.T) {
 	const L = Time(10)
-	run := func(queue string) (*ShardSet, uint64) {
-		ss := NewShardSetQueue(4, L, queue)
-		if got := ss.QueueName(); got != queue {
-			t.Fatalf("QueueName = %q, want %q", got, queue)
-		}
-		ss.SetResolver(echoResolver{l: L})
-		n := 0
-		var bounce func(g int) func()
-		bounce = func(g int) func() {
-			return func() {
-				n++
-				if n < 200 {
-					p := ss.Post(g)
-					p.Dst = (g + 1) % 4
-					p.Fn = bounce((g + 1) % 4)
-				}
+	ss := NewShardSet(4, L)
+	ss.SetResolver(echoResolver{l: L})
+	n := 0
+	var bounce func(g int) func()
+	bounce = func(g int) func() {
+		return func() {
+			n++
+			if n < 200 {
+				p := ss.Post(g)
+				p.Dst = (g + 1) % 4
+				p.Fn = bounce((g + 1) % 4)
 			}
 		}
-		ss.Kernel(0).At(0, bounce(0))
-		if err := ss.Run(2); err != nil {
-			t.Fatal(err)
-		}
-		return ss, ss.Fingerprint()
 	}
-	hss, hfp := run(QueueHeap)
-	lss, lfp := run(QueueLadder)
-	if hfp != lfp {
-		t.Fatalf("sharded fingerprint mismatch: heap %016x, ladder %016x", hfp, lfp)
+	ss.Kernel(0).At(0, bounce(0))
+	r := xorshift(0xfeed)
+	fill(ss.Kernel(2), &r, 500, 1_000_000)
+	if err := ss.Run(2); err != nil {
+		t.Fatal(err)
 	}
-	for _, ss := range []*ShardSet{hss, lss} {
-		if ss.MaxPending() < 1 {
-			t.Fatalf("MaxPending = %d, want >= 1", ss.MaxPending())
-		}
-		if ss.DrainWall() <= 0 {
-			t.Fatalf("DrainWall = %v, want > 0", ss.DrainWall())
+	if ss.MaxPending() < 500 {
+		t.Fatalf("MaxPending = %d, want >= 500", ss.MaxPending())
+	}
+	if ss.DrainWall() <= 0 {
+		t.Fatalf("DrainWall = %v, want > 0", ss.DrainWall())
+	}
+	for g := 0; g < ss.Groups(); g++ {
+		if ss.Kernel(g).q.holdsStorage() {
+			t.Fatalf("group %d retained queue storage after Run", g)
 		}
 	}
+	checkOrderAfterRun(t, ss.Kernel(2), &r, func() error { return ss.Run(1) })
 }

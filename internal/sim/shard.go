@@ -34,7 +34,7 @@ import (
 //
 // Simultaneous events must execute in the same order at every worker
 // count, so ties are broken by an explicit documented total order
-// rather than by heap insertion accidents:
+// rather than by queue insertion accidents:
 //
 //   - within one group, the kernel's (time, seq) order applies — seq is
 //     the group-local scheduling sequence, which is deterministic
@@ -106,17 +106,10 @@ type ShardSet struct {
 	drainWall time.Duration
 }
 
-// NewShardSet builds groups empty kernels coupled by lookahead, using
-// the default event queue (heap). The lookahead must be positive: a
-// zero bound would admit same-instant cross-group delivery, which the
-// windowed protocol cannot order.
+// NewShardSet builds groups empty kernels coupled by lookahead. The
+// lookahead must be positive: a zero bound would admit same-instant
+// cross-group delivery, which the windowed protocol cannot order.
 func NewShardSet(groups int, lookahead Time) *ShardSet {
-	return NewShardSetQueue(groups, lookahead, QueueHeap)
-}
-
-// NewShardSetQueue is NewShardSet with every group's kernel on the
-// named event queue implementation (see NewKernelQueue).
-func NewShardSetQueue(groups int, lookahead Time, queue string) *ShardSet {
 	if groups < 1 {
 		panic(fmt.Sprintf("sim: shard set needs at least one group, got %d", groups))
 	}
@@ -135,14 +128,10 @@ func NewShardSetQueue(groups int, lookahead Time, queue string) *ShardSet {
 		batch:     make([][]*event, groups),
 	}
 	for g := range ss.kernels {
-		ss.kernels[g] = NewKernelQueue(queue)
+		ss.kernels[g] = NewKernel()
 	}
 	return ss
 }
-
-// QueueName reports which event queue implementation the group kernels
-// run on.
-func (ss *ShardSet) QueueName() string { return ss.kernels[0].QueueName() }
 
 // Groups reports the number of node groups in the partition.
 func (ss *ShardSet) Groups() int { return len(ss.kernels) }
@@ -186,8 +175,15 @@ func (ss *ShardSet) Post(src int) *Post {
 // groups are assigned to workers statically (group g to worker g mod
 // workers) and each group's execution is single-threaded either way.
 // workers is clamped to [1, Groups()]; workers == 1 runs inline with no
-// goroutines at all.
+// goroutines at all. On return every group whose queue is empty drops
+// its queue storage, as Kernel.Run does; groups that empty between
+// rounds keep theirs.
 func (ss *ShardSet) Run(workers int) error {
+	defer func() {
+		for _, k := range ss.kernels {
+			k.releaseIdleQueue()
+		}
+	}()
 	G := len(ss.kernels)
 	if workers < 1 {
 		workers = 1
@@ -226,7 +222,7 @@ func (ss *ShardSet) Run(workers int) error {
 		var m Time
 		any := false
 		for _, k := range ss.kernels {
-			if t, ok := k.peek(); ok && (!any || t < m) {
+			if t, ok := k.q.peek(); ok && (!any || t < m) {
 				m, any = t, true
 			}
 		}

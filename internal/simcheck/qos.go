@@ -120,35 +120,6 @@ func CheckQoSScenario(sc Scenario) QoSReport {
 	again := executeQoS(sc.Cfg, *sc.QoS)
 	rep.Failures = append(rep.Failures, checkDeterminism(seed, base, again)...)
 
-	// The queue twin mirrors checkQueueTwin for the QoS driver: the
-	// same overload scenario under the twin event queue must agree bit
-	// for bit with the base run.
-	if QueueTwin != "" && sc.Cfg.Queue != QueueTwin {
-		qcfg := sc.Cfg
-		qcfg.Queue = QueueTwin
-		qrun := executeQoS(qcfg, *sc.QoS)
-		fail := func(format string, args ...any) {
-			rep.Failures = append(rep.Failures,
-				Failure{Seed: seed, Oracle: "queue", Detail: fmt.Sprintf(format, args...)})
-		}
-		switch {
-		case (base.err == nil) != (qrun.err == nil):
-			fail("base error %v, %s-queue twin error %v", base.err, QueueTwin, qrun.err)
-		case base.err != nil:
-			if base.err.Error() != qrun.err.Error() {
-				fail("error text differs under the %s queue:\n  base: %v\n  twin: %v",
-					QueueTwin, base.err, qrun.err)
-			}
-		default:
-			if fa, fb := base.res.Fingerprint(), qrun.res.Fingerprint(); fa != fb {
-				fail("result fingerprint differs under the %s queue: %016x vs %016x", QueueTwin, fa, fb)
-			}
-			if da, db := base.tl.Digest(), qrun.tl.Digest(); da != db {
-				fail("trace digest differs under the %s queue: %016x vs %016x", QueueTwin, da, db)
-			}
-		}
-	}
-
 	if base.err != nil {
 		rep.RunErr = base.err
 		rep.Failures = append(rep.Failures, Failure{Seed: seed, Oracle: "qos",
