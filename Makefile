@@ -18,23 +18,22 @@ vet:
 
 # bench regenerates BENCH_sweep.json (parallel-sweep speedup + DES
 # hot-path micros), BENCH_run.json (end-to-end golden-scenario
-# throughput + quickstart shard matrix), and BENCH_run.scale.json (the
-# 1024x256 scale scenario across shards 1,2,4,8), measured on THIS
-# machine. Run it on the hardware you are
+# throughput), and BENCH_run.scale.json (the 1024x256 scale scenario),
+# measured on THIS machine. Run it on the hardware you are
 # quoting numbers for — both JSONs record num_cpu/gomaxprocs, and a
 # 1-core box can only show ~1x sweep speedup. Commit the refreshed files
 # together with any change that moves the numbers.
 bench:
 	$(GO) run ./cmd/benchsweep -o BENCH_sweep.json
-	$(GO) run ./cmd/runbench -shards 1,2,4,8 -o BENCH_run.json
-	$(GO) run ./cmd/runbench -scenario scale -shards 1,2,4,8 -o BENCH_run.scale.json
+	$(GO) run ./cmd/runbench -o BENCH_run.json
+	$(GO) run ./cmd/runbench -scenario scale -o BENCH_run.scale.json
 
 # bench-short is the CI smoke variant: one pass over a small grid plus
 # the package micro-benchmarks at -benchtime=1x, just to prove the
 # benchmarks still compile and run.
 bench-short:
 	$(GO) run ./cmd/benchsweep -short -o /dev/null
-	$(GO) run ./cmd/runbench -short -shards 1,4 -o /dev/null
+	$(GO) run ./cmd/runbench -short -o /dev/null
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./internal/sim/ ./internal/mesh/ ./internal/sweep/ ./internal/stats/ ./internal/pfs/ ./internal/ionode/
 
 # benchsuite-test runs the benchmark suite's own tests. benchsuite/ is a
@@ -78,8 +77,8 @@ lint:
 		else echo "lint: govulncheck not installed, skipping"; fi
 
 # detgate pins the simulation's determinism (golden fingerprint + trace
-# digests of the four golden scenarios on both engines, the sharded one
-# at 1, 2, 4 and 8 workers) and the zero-allocation hot paths.
+# digests of the four golden scenarios) and the zero-allocation hot
+# paths.
 detgate:
 	$(GO) run ./cmd/detgate -allocs
 
@@ -94,18 +93,17 @@ golden:
 
 # qos-smoke is the multi-tenant overload gate: the open-loop QoS oracle
 # battery (fair queueing, admission, starvation-freedom, FIFO-twin
-# unfairness) under the race detector on the sharded engine, plus a
-# quick ext-qos tail-latency sweep.
+# unfairness) under the race detector, plus a quick ext-qos tail-latency
+# sweep.
 qos-smoke:
-	$(GO) run -race ./cmd/simcheck -qos -seeds 25 -parallel 4 -shards 4
+	$(GO) run -race ./cmd/simcheck -qos -seeds 25 -parallel 4
 	$(GO) run ./cmd/experiments -quick -run ext-qos -parallel 4
 
 # scale-smoke is the large-machine gate: the random-scenario oracle
-# battery on the 256x64 platform, the 1024x256 shard differential, and
-# a quick ext-scale coordination-cost sweep.
+# battery on the 256x64 platform and a quick ext-scale coordination-cost
+# sweep.
 scale-smoke:
-	$(GO) run -race ./cmd/simcheck -scale -seeds 12 -parallel 4 -shards 4
-	$(GO) test -race -run TestScaleShardDifferential ./internal/runbench/
+	$(GO) run -race ./cmd/simcheck -scale -seeds 12 -parallel 4
 	$(GO) run ./cmd/experiments -quick -run ext-scale -parallel 4
 
 # ci reproduces the GitHub Actions pipeline locally: lint, build, race
@@ -117,8 +115,8 @@ ci: fmt vet lint build race benchsuite-test
 	$(GO) run -race ./cmd/simcheck -seeds 25 -parallel 4
 	$(GO) run -race ./cmd/simcheck -chaos -seeds 25 -parallel 4
 	$(GO) run -race ./cmd/simcheck -crash -seeds 25 -parallel 4
-	$(GO) run -race ./cmd/simcheck -scale -seeds 12 -parallel 4 -shards 4
-	$(GO) run -race ./cmd/simcheck -qos -seeds 25 -parallel 4 -shards 4
+	$(GO) run -race ./cmd/simcheck -scale -seeds 12 -parallel 4
+	$(GO) run -race ./cmd/simcheck -qos -seeds 25 -parallel 4
 	$(GO) run ./cmd/experiments -quick -run ext-tournament -parallel 4
 	$(GO) run ./cmd/experiments -quick -run ext-qos -parallel 4
 	$(GO) run ./cmd/experiments -quick -run ext-scale -parallel 4

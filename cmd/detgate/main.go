@@ -12,19 +12,11 @@
 //
 //	go run ./cmd/detgate -update
 //
-// Sharded engine: each golden scenario is additionally run on the
-// sharded multi-core engine at worker counts 1, 2, 4, and 8. The
-// shards=1 digests are recorded in the golden file (the sharded engine
-// interleaves trace buckets differently from the legacy single kernel,
-// so it has its own golden lines); the wider counts must be
-// bit-identical to shards=1 — that equality is the determinism proof of
-// the conservative-lookahead parallel scheduler, gated on every CI run.
-//
 // Allocation: with -allocs it shells out to `go test -bench` and asserts
 // that the zero-allocation hot paths — the DES kernel and mesh micros,
-// the event queue's hold-model bench at depths 1k and 100k, the cross-shard
-// post/drain path, plus the pfs client steady-state read and ionode
-// service paths — still report 0 allocs/op.
+// the event queue's hold-model bench at depths 1k and 100k, plus the pfs
+// client steady-state read and ionode service paths — still report 0
+// allocs/op.
 package main
 
 import (
@@ -81,26 +73,6 @@ func main() {
 		lines = append(lines,
 			fmt.Sprintf("%s fingerprint %016x", sc.Name, fp1),
 			fmt.Sprintf("%s trace %016x", sc.Name, td1))
-
-		// Sharded matrix: shards=1 is golden; 2, 4, and 8 workers must
-		// reproduce it bit for bit.
-		sfp, std, err := digests(scenarios.WithShards(sc, 1))
-		if err != nil {
-			fatal(err.Error())
-		}
-		for _, n := range []int{2, 4, 8} {
-			nfp, ntd, err := digests(scenarios.WithShards(sc, n))
-			if err != nil {
-				fatal(err.Error())
-			}
-			if nfp != sfp || ntd != std {
-				fatal(fmt.Sprintf("%s: sharded run at %d workers diverged from shards=1: fingerprint %016x vs %016x, trace %016x vs %016x",
-					sc.Name, n, nfp, sfp, ntd, std))
-			}
-		}
-		lines = append(lines,
-			fmt.Sprintf("%s-sharded fingerprint %016x", sc.Name, sfp),
-			fmt.Sprintf("%s-sharded trace %016x", sc.Name, std))
 	}
 	got := strings.Join(lines, "\n") + "\n"
 
@@ -134,7 +106,7 @@ var allocGatePackages = []struct {
 	pkg   string
 	bench string
 }{
-	{"./internal/sim/", "BenchmarkEventThroughput$|BenchmarkShardPostDrain$|BenchmarkQueuePushPop/depth=(1k|100k)$"},
+	{"./internal/sim/", "BenchmarkEventThroughput$|BenchmarkQueuePushPop/depth=(1k|100k)$"},
 	{"./internal/mesh/", "BenchmarkSend$"},
 	{"./internal/pfs/", "BenchmarkClientSteadyRead$"},
 	{"./internal/ionode/", "BenchmarkServicePath$"},
@@ -145,7 +117,6 @@ var allocGatePackages = []struct {
 // (which append -N for GOMAXPROCS).
 var zeroAllocBenches = map[string]bool{
 	"BenchmarkEventThroughput":         true, // sim.Kernel event dispatch
-	"BenchmarkShardPostDrain":          true, // cross-shard post/drain round trip
 	"BenchmarkQueuePushPop/depth=1k":   true, // event queue hold model, shallow
 	"BenchmarkQueuePushPop/depth=100k": true, // event queue hold model, deep
 	"BenchmarkSend":                    true, // mesh message delivery

@@ -19,16 +19,6 @@
 // regression gate on per-run wall time (see runbench.Gate); a scenario
 // whose result fingerprint differs from the baseline's is reported with
 // a caveat instead of gated, because the two runs did different work.
-//
-// Sharded engine: -shards takes a comma-separated list of worker counts
-// (e.g. -shards 1,2,4,8) and additionally measures the healthy scenario
-// on the sharded multi-core engine at each count, recording the
-// aggregate events/sec and the parallel speedup of the widest count
-// against shards=1 (the sharded engine's own serial baseline). The
-// event schedules are bit-identical across counts — detgate proves that
-// — so the ratio is a pure scheduling speedup. On machines with fewer
-// CPUs than the widest count the speedup is bounded by the hardware and
-// the JSON carries an explicit caveat.
 package main
 
 import (
@@ -38,8 +28,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/runbench"
@@ -75,15 +63,6 @@ type report struct {
 	Tolerance      float64  `json:"tolerance,omitempty"`
 	BaselineCaveat string   `json:"baseline_caveat,omitempty"`
 	GateCaveats    []string `json:"gate_caveats,omitempty"`
-
-	// Sharded-engine measurements (present only with -shards): the
-	// healthy scenario at each worker count, in the order given, plus
-	// the widest count's events/sec ratio against shards=1. ShardCaveat
-	// flags runs where the host had fewer CPUs than the widest count,
-	// which bounds the achievable speedup regardless of the engine.
-	Sharded       []runbench.Measurement `json:"sharded,omitempty"`
-	SpeedupShards float64                `json:"speedup_shards,omitempty"`
-	ShardCaveat   string                 `json:"shard_caveat,omitempty"`
 }
 
 func main() {
@@ -96,7 +75,6 @@ func main() {
 		tolerance  = flag.Float64("tolerance", 0, "with -baseline: fail when a shared scenario's baseline wall_sec / this wall_sec drops below tolerance (0 disables; skipped with a caveat when the CPU counts differ, and per scenario when the fingerprints differ)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the measurement runs")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the measurement runs")
-		shardsList = flag.String("shards", "", "comma-separated sharded-engine worker counts to also measure (e.g. 1,2,4,8)")
 	)
 	flag.Parse()
 	opt := runbench.Options{Iterations: *iters}
@@ -143,46 +121,6 @@ func main() {
 		rep.Scenarios[sc.Name] = m
 		fmt.Printf("%-10s %8.3fs wall  %7.1f sim-s/wall-s  %11.0f events/s  %6.1f allocs/read\n",
 			sc.Name, m.WallSec, m.SimPerWall, m.EventsPerSec, m.AllocsPerRead)
-	}
-
-	if *shardsList != "" {
-		counts, err := parseShards(*shardsList)
-		if err != nil {
-			fatal(err.Error())
-		}
-		// The matrix runs on the selected scenario (-scenario scale gives
-		// the 1024×256 matrix), defaulting to the healthy quickstart.
-		matrix := scenarios.Golden()[0]
-		if *only != "" {
-			matrix = scs[0]
-		}
-		var serial, widest runbench.Measurement
-		widestN := 0
-		for _, n := range counts {
-			m, err := runbench.Measure(scenarios.WithShards(matrix, n), opt)
-			if err != nil {
-				fatal(err.Error())
-			}
-			rep.Sharded = append(rep.Sharded, m)
-			fmt.Printf("%-18s %8.3fs wall  %7.1f sim-s/wall-s  %11.0f events/s  %6.1f allocs/read\n",
-				m.Scenario, m.WallSec, m.SimPerWall, m.EventsPerSec, m.AllocsPerRead)
-			if n == 1 {
-				serial = m
-			}
-			if n > widestN {
-				widestN, widest = n, m
-			}
-		}
-		if serial.EventsPerSec > 0 && widestN > 1 {
-			rep.SpeedupShards = widest.EventsPerSec / serial.EventsPerSec
-			fmt.Printf("sharded speedup at %d workers vs shards=1: %.2fx\n", widestN, rep.SpeedupShards)
-		}
-		if runtime.NumCPU() < widestN {
-			rep.ShardCaveat = fmt.Sprintf(
-				"host has %d CPU(s), fewer than the widest shard count %d: parallel speedup is hardware-bound and not representative",
-				runtime.NumCPU(), widestN)
-			fmt.Println("caveat:", rep.ShardCaveat)
-		}
 	}
 
 	var regressions []string
@@ -259,18 +197,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-func parseShards(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-shards wants positive worker counts, got %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func fatal(msg string) {

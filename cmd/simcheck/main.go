@@ -31,30 +31,20 @@
 //	simcheck -crash -seeds 25
 //
 // Scale mode moves every seed's scenario onto the 256×64 large-machine
-// platform — bounded I/O-group shard partition, tiled stripe groups,
-// wide declustering — under the unchanged oracle set:
+// platform — tiled stripe groups, wide declustering — under the
+// unchanged oracle set:
 //
-//	simcheck -scale -seeds 10 -shards 4
+//	simcheck -scale -seeds 10
 //
 // QoS mode expands every seed into an open-loop multi-tenant overload
 // scenario — heavy-tailed arrivals from dozens-to-hundreds of weighted
 // tenants against the I/O-node fair scheduler and per-tenant admission —
-// and checks determinism, the legacy-vs-sharded engine differential,
-// per-tenant request and byte conservation, starvation-freedom, and the
-// SCFQ fairness bound; each seed's deliberately unfair FIFO twin must
-// violate that bound somewhere in the sweep or the sweep fails as too
-// tame:
+// and checks determinism, per-tenant request and byte conservation,
+// starvation-freedom, and the SCFQ fairness bound; each seed's
+// deliberately unfair FIFO twin must violate that bound somewhere in the
+// sweep or the sweep fails as too tame:
 //
 //	simcheck -qos -seeds 25
-//
-// The -shards N flag points the whole battery at the sharded multi-core
-// engine (N workers per simulation) instead of the legacy single-kernel
-// loop; the oracles are engine-agnostic, so this soaks the conservative
-// parallel scheduler across random scenarios. The sweep pool is shrunk
-// automatically so sweep-level and shard-level parallelism never
-// oversubscribe the CPUs:
-//
-//	simcheck -seeds 25 -parallel 4 -shards 4
 package main
 
 import (
@@ -64,7 +54,6 @@ import (
 	"runtime"
 
 	"repro/internal/simcheck"
-	"repro/internal/sweep"
 )
 
 func main() {
@@ -79,7 +68,6 @@ func main() {
 		verbose   = flag.Bool("v", false, "describe every checked scenario, not just failures")
 		keepGoing = flag.Bool("keep-going", false, "sweep past the first failing seed")
 		parallel  = flag.Int("parallel", runtime.NumCPU(), "worker-pool width for the sweep (1 = serial)")
-		shards    = flag.Int("shards", 0, "run every scenario on the sharded engine with this many workers (0 = legacy single-kernel)")
 	)
 	flag.Parse()
 
@@ -87,14 +75,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simcheck: -seeds must be positive")
 		os.Exit(2)
 	}
-	if *shards < 0 {
-		fmt.Fprintln(os.Stderr, "simcheck: -shards must be non-negative")
-		os.Exit(2)
-	}
-	simcheck.Shards = *shards
-	// Sharded runs are themselves parallel; shrink the outer sweep pool so
-	// outer×inner stays within the CPUs.
-	*parallel = sweep.Compose(*parallel, *shards)
 	modes := 0
 	for _, on := range []bool{*chaos, *crash, *scale, *qos} {
 		if on {

@@ -11,9 +11,9 @@
 // request) and n the request's byte length. Dispatch order is the strict
 // total order (tag, tenant, seq) — seq is the per-server arrival sequence
 // number — so the schedule is a pure function of the arrival schedule,
-// independent of engine, shard count, or map iteration. Up to Slots
-// requests are in service at the disk concurrently; each completion
-// dispatches the next queued request.
+// independent of map iteration. Up to Slots requests are in service at
+// the disk concurrently; each completion dispatches the next queued
+// request.
 //
 // Admission is a per-tenant token bucket: rate RatePerWeight*weight(t)
 // bytes of simulated time per second, burst BurstBytes*weight(t). A
@@ -95,8 +95,7 @@ func (p FairPolicy) Weight(t int) int {
 }
 
 // fairQueue is the per-server scheduler state. It is touched only from
-// events on the server's own kernel, so it needs no locking and stays
-// deterministic on both engines.
+// simulation events, so it needs no locking.
 type fairQueue struct {
 	pol     FairPolicy
 	weights []int // weight(t), precomputed

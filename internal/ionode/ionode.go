@@ -17,7 +17,6 @@ package ionode
 
 import (
 	"errors"
-	"sync"
 
 	"repro/internal/mesh"
 	"repro/internal/sim"
@@ -79,18 +78,7 @@ type Server struct {
 	epoch     uint64   // incarnation counter; bumped by every crash
 	outages   []Outage // static outage schedule (machine crash plans); nil = use the flags
 	tr        *trace.Log
-	opFree    []*srvOp   // pooled ReadCall bookkeeping
-	opMu      sync.Mutex // guards opFree: ops are recycled by the reply
-	// delivery, which in a sharded run executes on the requester's
-	// shard while this node keeps serving. The pool's order is
-	// semantically inert (every field is overwritten before use), so a
-	// lock here costs nanoseconds and trades no determinism away.
-
-	// replyClock is the kernel whose clock reply-delivery callbacks read:
-	// the requesting side's kernel. In a single-kernel machine it is the
-	// server's own kernel; in a sharded machine it is the client group's,
-	// because replies execute there and must not touch this group's clock.
-	replyClock *sim.Kernel
+	opFree    []*srvOp // pooled ReadCall bookkeeping
 
 	// Measurements.
 	Requests      int64
@@ -119,7 +107,7 @@ type Server struct {
 
 // New creates a server for mesh address node over fs.
 func New(k *sim.Kernel, m *mesh.Mesh, node int, fs *ufs.FS, dispatch sim.Time) *Server {
-	return &Server{k: k, m: m, node: node, fs: fs, dispatch: dispatch, replyClock: k}
+	return &Server{k: k, m: m, node: node, fs: fs, dispatch: dispatch}
 }
 
 // Outage is one scheduled [At, Until) node outage.
@@ -127,15 +115,10 @@ type Outage struct{ At, Until sim.Time }
 
 // SetOutageSchedule fixes the node's whole crash–restart history up
 // front (sorted, non-overlapping intervals). With a schedule installed,
-// DownAt answers from it as a pure function of time, so clients on
-// other shards can query node health without reading this group's
-// mutable state. The Crash/Restart events themselves still run on the
-// server's kernel at the scheduled times.
+// DownAt answers from it as a pure function of time, so clients query
+// node health without reading the server's mutable state. The
+// Crash/Restart events themselves still run at the scheduled times.
 func (s *Server) SetOutageSchedule(list []Outage) { s.outages = list }
-
-// SetReplyClock directs reply-delivery timestamps (service-time
-// accounting) at the requesting side's kernel; see replyClock.
-func (s *Server) SetReplyClock(k *sim.Kernel) { s.replyClock = k }
 
 // Node reports the server's mesh address.
 func (s *Server) Node() int { return s.node }
@@ -207,8 +190,7 @@ func (s *Server) DownUntil() sim.Time { return s.downUntil }
 // DownAt reports whether the node is down at time now, and its
 // advertised restart time if so. This is the client-facing health
 // query: with a static outage schedule installed it reads no mutable
-// server state at all, so a retry layer running on another shard can
-// call it with its own clock; without one it reads the legacy flags,
+// server state at all; without one it reads the runtime flags,
 // bit-identical to Down/DownUntil.
 func (s *Server) DownAt(now sim.Time) (down bool, until sim.Time) {
 	if s.outages != nil {
@@ -356,7 +338,7 @@ func (s *Server) Read(from int, name string, off, n int64, fastPath bool, reply 
 			}
 			s.BytesServed += n
 			s.m.Send(s.node, from, n, func() {
-				s.Service.ObserveTime(s.replyClock.Now() - start)
+				s.Service.ObserveTime(s.k.Now() - start)
 				reply(nil)
 			})
 		})
@@ -389,15 +371,12 @@ type srvOp struct {
 }
 
 func (s *Server) getOp() *srvOp {
-	s.opMu.Lock()
 	if n := len(s.opFree); n > 0 {
 		op := s.opFree[n-1]
 		s.opFree[n-1] = nil
 		s.opFree = s.opFree[:n-1]
-		s.opMu.Unlock()
 		return op
 	}
-	s.opMu.Unlock()
 	return &srvOp{s: s}
 }
 
@@ -409,9 +388,7 @@ func (s *Server) putOp(op *srvOp) {
 	op.err = nil
 	op.reply = nil
 	op.replyArg = nil
-	s.opMu.Lock()
 	s.opFree = append(s.opFree, op)
-	s.opMu.Unlock()
 }
 
 // ReadCall is the pooled-args form of Read, for the steady-state stripe
@@ -554,7 +531,7 @@ func srvReplyErr(v any) {
 func srvReplyData(v any) {
 	op := v.(*srvOp)
 	s := op.s
-	s.Service.ObserveTime(s.replyClock.Now() - op.start)
+	s.Service.ObserveTime(s.k.Now() - op.start)
 	reply, arg := op.reply, op.replyArg
 	s.putOp(op)
 	reply(arg, nil)
@@ -634,7 +611,7 @@ func (s *Server) Write(from int, name string, off, n int64, reply func(error)) {
 			}
 			s.BytesServed += n
 			s.m.Send(s.node, from, 64, func() {
-				s.Service.ObserveTime(s.replyClock.Now() - start)
+				s.Service.ObserveTime(s.k.Now() - start)
 				reply(nil)
 			})
 		})

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -23,7 +24,6 @@ func TestConfigRoundTrip(t *testing.T) {
 	orig.MemberFail = MemberFailPlan{At: 3 * sim.Second, Array: 1, Member: 2}
 	orig.Rebuild = disk.RebuildPolicy{Chunk: 128 << 10, Gap: 5 * sim.Millisecond}
 	orig.NoParity = true
-	orig.Shards = 4 // engine selection must survive the round trip too
 	// Same for the prefetcher-zoo knobs: every controller field non-zero.
 	orig.Prefetch = PrefetchOptions{
 		Policy: "hybrid",
@@ -71,5 +71,23 @@ func TestLoadConfigErrors(t *testing.T) {
 	}
 	if _, err := LoadConfig(garbage); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestLoadConfigRejectsRemovedEngineKnobs: configs saved while the
+// machine still had a sharded engine carry Shards and IOGroups. They
+// must fail loudly, naming the field, rather than silently run on the
+// single kernel.
+func TestLoadConfigRejectsRemovedEngineKnobs(t *testing.T) {
+	for _, field := range []string{`"Shards": 4`, `"IOGroups": 16`} {
+		path := filepath.Join(t.TempDir(), "old.json")
+		if err := os.WriteFile(path, []byte(`{"ComputeNodes": 4, `+field+`}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadConfig(path)
+		name := strings.SplitN(field, `"`, 3)[1]
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("config with %s: err = %v, want an error naming %q", field, err, name)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/disk"
 	"repro/internal/ionode"
@@ -96,31 +95,6 @@ type Config struct {
 	UFS           ufs.Config
 	PFS           pfs.Config
 
-	// Shards selects the execution engine. 0 runs the classic
-	// single-kernel event loop — bit-for-bit the legacy behaviour, with
-	// the legacy golden digests. n ≥ 1 runs the sharded
-	// conservative-lookahead engine (sim.ShardSet) with n workers over a
-	// fixed node-group partition: group 0 holds the compute side (every
-	// compute node, the PFS client, workloads, prefetching), and each
-	// I/O node's server/UFS/array/disks form their own group. Because
-	// the partition is fixed and cross-group traffic is merged in the
-	// canonical (time, shard, seq) order, results are bit-identical at
-	// every n ≥ 1; shards=1 is the serial baseline the parallel runs
-	// are measured against.
-	Shards int
-
-	// IOGroups bounds the number of I/O-side shard groups in sharded
-	// mode. 0 keeps the legacy partition — one group per I/O node —
-	// which is bit-identical to the pinned goldens but scales the
-	// per-round barrier cost of the conservative engine with the node
-	// count (every ~20µs lookahead window visits every group). n ≥ 1
-	// tiles the I/O partition into n contiguous groups of near-equal
-	// size, so a 1024×256 machine runs on 1+n kernels instead of 257.
-	// All nodes of a group share one kernel; the partition is fixed at
-	// build time, so results stay bit-identical at every worker count.
-	// Ignored in legacy mode (Shards == 0).
-	IOGroups int
-
 	// DiskFaultRate arms per-request fault injection on every member
 	// disk (0 disables). Faults surface as read errors at the
 	// application, with the prefetcher falling back to direct reads.
@@ -185,9 +159,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Machine is a built simulation instance. K is the compute-side kernel:
-// the single global kernel in legacy mode, shard group 0's kernel in
-// sharded mode (workload processes always spawn there).
+// Machine is a built simulation instance. K is the kernel every
+// component runs on.
 type Machine struct {
 	K       *sim.Kernel
 	Mesh    *mesh.Mesh
@@ -196,10 +169,6 @@ type Machine struct {
 	FS      *pfs.FileSystem
 	Compute []int // mesh addresses of the compute nodes
 	cfg     Config
-
-	ss         *sim.ShardSet  // nil in legacy mode
-	userTrace  *trace.Log     // the log handed to SetTrace
-	shardTrace *trace.Sharded // per-group buckets, merged after Run
 }
 
 // Build constructs the machine on a near-square mesh (the Paragon's
@@ -222,34 +191,14 @@ func Build(cfg Config) *Machine {
 	cfg.Mesh.Width = w
 	cfg.Mesh.Height = h
 
-	var ss *sim.ShardSet
-	var k *sim.Kernel
-	if cfg.Shards > 0 {
-		// The compute-side group 0 plus the I/O-side groups (one per
-		// I/O node by default, IOGroups contiguous tiles when bounded).
-		// The lookahead is the mesh's minimum cross-node latency, the
-		// largest window that is still conservative (see
-		// mesh.MinLookahead).
-		groups := cfg.IONodes
-		if cfg.IOGroups > 0 && cfg.IOGroups < groups {
-			groups = cfg.IOGroups
-		}
-		ss = sim.NewShardSet(1+groups, cfg.Mesh.HopLatency+cfg.Mesh.RecvOverhead)
-		k = ss.Kernel(0)
-	} else {
-		k = sim.NewKernel()
-	}
+	k := sim.NewKernel()
 	m := mesh.New(k, cfg.Mesh)
-	mach := &Machine{K: k, Mesh: m, cfg: cfg, ss: ss}
+	mach := &Machine{K: k, Mesh: m, cfg: cfg}
 	for i := 0; i < cfg.ComputeNodes; i++ {
 		mach.Compute = append(mach.Compute, i)
 	}
 	for i := 0; i < cfg.IONodes; i++ {
-		ki := k
-		if ss != nil {
-			ki = ss.Kernel(mach.ioGroup(i))
-		}
-		array := disk.NewArray(ki, fmt.Sprintf("raid%d", i), cfg.ArrayMembers,
+		array := disk.NewArray(k, fmt.Sprintf("raid%d", i), cfg.ArrayMembers,
 			cfg.DiskGeometry, cfg.DiskSched, cfg.ArrayOverhead)
 		mach.Arrays = append(mach.Arrays, array)
 		if cfg.DiskFaultRate > 0 {
@@ -268,47 +217,19 @@ func Build(cfg Config) *Machine {
 		}
 		ucfg := cfg.UFS
 		ucfg.Seed = cfg.UFS.Seed + int64(i)*7919 // distinct, deterministic layouts
-		fs := ufs.New(ki, array, ucfg)
-		srv := ionode.New(ki, m, cfg.ComputeNodes+i, fs, cfg.Dispatch)
+		fs := ufs.New(k, array, ucfg)
+		srv := ionode.New(k, m, cfg.ComputeNodes+i, fs, cfg.Dispatch)
 		srv.SetShedPolicy(cfg.Shed)
 		srv.SetFairPolicy(cfg.Fair)
-		// Reply-delivery callbacks run on the requesters' kernel (the
-		// server's own one on the legacy engine); service-time
-		// observation must read that clock.
-		srv.SetReplyClock(k)
 		mach.Servers = append(mach.Servers, srv)
 	}
 	mach.FS = pfs.Mount(k, m, mach.Servers, cfg.PFS)
 	if cfg.Fair.Enabled() {
 		mach.FS.SetTenants(cfg.Fair.Tenants)
 	}
-	if ss != nil {
-		groupOf := make([]int, m.Nodes()) // compute + grid-slack slots → group 0
-		for i := 0; i < cfg.IONodes; i++ {
-			groupOf[cfg.ComputeNodes+i] = mach.ioGroup(i)
-		}
-		m.BindShards(ss, groupOf)
-	}
 	mach.scheduleCrashes(cfg.Crash)
 	mach.scheduleMemberFail(cfg)
 	return mach
-}
-
-// ioGroups reports the number of I/O-side shard groups: IONodes by
-// default, Config.IOGroups when it bounds the partition.
-func (m *Machine) ioGroups() int {
-	g := m.cfg.IOGroups
-	if g <= 0 || g > m.cfg.IONodes {
-		return m.cfg.IONodes
-	}
-	return g
-}
-
-// ioGroup maps I/O node i to its shard-group index (group 0 is the
-// compute side). Tiles are contiguous and near-equal: node i lands in
-// tile i*groups/IONodes.
-func (m *Machine) ioGroup(i int) int {
-	return 1 + i*m.ioGroups()/m.cfg.IONodes
 }
 
 // scheduleCrashes pre-plans the whole-node outages: victims and crash
@@ -346,20 +267,15 @@ func (m *Machine) scheduleCrashes(plan CrashPlan) {
 				merged = append(merged, o)
 			}
 		}
-		// The crash/restart events run on the victim's own kernel, and
-		// health queries from other nodes (mesh delivery, client
-		// down-polling) consult the static schedule instead of runtime
-		// flags, so no node reads another's mutable state on either engine.
+		// Health queries from other nodes (mesh delivery, client
+		// down-polling) consult the static schedule, not the server's
+		// runtime state.
 		srv := m.Servers[i]
-		ki := m.K
-		if m.ss != nil {
-			ki = m.ss.Kernel(m.ioGroup(i))
-		}
 		sched := make([]ionode.Outage, 0, len(merged))
 		for _, o := range merged {
 			o := o
-			ki.At(o.at, func() { srv.Crash(o.until) })
-			ki.At(o.until, srv.Restart)
+			m.K.At(o.at, func() { srv.Crash(o.until) })
+			m.K.At(o.until, srv.Restart)
 			m.Mesh.AddOutage(srv.Node(), o.at, o.until)
 			sched = append(sched, ionode.Outage{At: o.at, Until: o.until})
 		}
@@ -383,11 +299,7 @@ func (m *Machine) scheduleMemberFail(cfg Config) {
 	array := m.Arrays[ai]
 	rebuild := cfg.Rebuild
 	noParity := cfg.NoParity
-	ka := m.K
-	if m.ss != nil {
-		ka = m.ss.Kernel(m.ioGroup(ai)) // the member death fires on its array's shard
-	}
-	ka.At(cfg.MemberFail.At, func() {
+	m.K.At(cfg.MemberFail.At, func() {
 		array.FailMember(mi)
 		if rebuild.Chunk > 0 && !noParity {
 			array.StartRebuild(rebuild)
@@ -397,101 +309,24 @@ func (m *Machine) scheduleMemberFail(cfg Config) {
 
 // SetTrace attaches tl to every server and array so node crashes,
 // degraded reads, and rebuild progress appear on the workload timeline
-// alongside the PFS events. In sharded mode each node group writes to
-// its own bucket (a Log is single-context) and Run merges the buckets
-// into tl canonically; client-side producers must use ClientTrace.
+// alongside the PFS events.
 func (m *Machine) SetTrace(tl *trace.Log) {
-	m.userTrace = tl
-	if m.ss != nil {
-		// One bucket per shard group: servers sharing a group share a
-		// kernel (single context), so they can share a Log too.
-		m.shardTrace = trace.NewSharded(1+m.ioGroups(), tl.Cap())
-		for i, s := range m.Servers {
-			b := m.shardTrace.Bucket(m.ioGroup(i))
-			s.SetTrace(b)
-			m.Arrays[i].SetTrace(b, s.Node())
-		}
-		return
-	}
 	for i, s := range m.Servers {
 		s.SetTrace(tl)
 		m.Arrays[i].SetTrace(tl, s.Node())
 	}
 }
 
-// ClientTrace returns the log compute-side producers (the PFS client,
-// prefetching, workloads) should append to: shard group 0's bucket in
-// sharded mode, the SetTrace log otherwise. Nil until SetTrace is
-// called.
-func (m *Machine) ClientTrace() *trace.Log {
-	if m.shardTrace != nil {
-		return m.shardTrace.Bucket(0)
-	}
-	return m.userTrace
-}
+// Run executes the simulation to completion.
+func (m *Machine) Run() error { return m.K.Run() }
 
-// Run executes the simulation to completion: the sharded engine with
-// Config.Shards workers when sharding is enabled, the single kernel
-// otherwise. Sharded trace buckets are merged into the SetTrace log
-// before returning (even on error, so partial timelines are visible).
-func (m *Machine) Run() error {
-	if m.ss != nil {
-		err := m.ss.Run(m.cfg.Shards)
-		if m.shardTrace != nil && m.userTrace != nil {
-			m.shardTrace.MergeInto(m.userTrace)
-			m.shardTrace = nil // ClientTrace now resolves to the merged log
-		}
-		return err
-	}
-	return m.K.Run()
-}
+// Executed reports the events executed so far.
+func (m *Machine) Executed() uint64 { return m.K.Executed() }
 
-// Executed reports the events executed so far across all kernels.
-func (m *Machine) Executed() uint64 {
-	if m.ss != nil {
-		return m.ss.Executed()
-	}
-	return m.K.Executed()
-}
-
-// PerGroupExecuted reports per-shard-group event counts in sharded mode
-// (nil otherwise) — the load-balance evidence benchmarks record.
-func (m *Machine) PerGroupExecuted() []uint64 {
-	if m.ss != nil {
-		return m.ss.PerGroupExecuted()
-	}
-	return nil
-}
-
-// MaxQueueDepth reports the deepest any kernel's event queue ever got —
-// a deterministic property of the schedule (runbench records it as
+// MaxQueueDepth reports the deepest the event queue ever got — a
+// deterministic property of the schedule (runbench records it as
 // max_queue_depth).
-func (m *Machine) MaxQueueDepth() int {
-	if m.ss != nil {
-		return m.ss.MaxPending()
-	}
-	return m.K.MaxPending()
-}
-
-// BarrierDrainWall reports cumulative wall-clock time spent in the
-// sharded engine's single-threaded barrier drain (zero in legacy mode)
-// — the serial fraction bounding parallel speedup.
-func (m *Machine) BarrierDrainWall() time.Duration {
-	if m.ss != nil {
-		return m.ss.DrainWall()
-	}
-	return 0
-}
-
-// KernelFingerprint hashes the execution history: the kernel's own
-// fingerprint in legacy mode (identical bits to K.Fingerprint), the
-// shard set's combined per-group fingerprint in sharded mode.
-func (m *Machine) KernelFingerprint() uint64 {
-	if m.ss != nil {
-		return m.ss.Fingerprint()
-	}
-	return m.K.Fingerprint()
-}
+func (m *Machine) MaxQueueDepth() int { return m.K.MaxPending() }
 
 // Config returns the configuration the machine was built with (geometry
 // fields filled in).

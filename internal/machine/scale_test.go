@@ -5,14 +5,11 @@ import (
 )
 
 // scaleConfig is the full-size machine of the scale experiments: 1024
-// compute + 256 I/O nodes on the sharded engine with a bounded
-// I/O-group partition and tiled stripe groups.
+// compute + 256 I/O nodes with tiled stripe groups.
 func scaleConfig() Config {
 	cfg := DefaultConfig()
 	cfg.ComputeNodes = 1024
 	cfg.IONodes = 256
-	cfg.Shards = 4
-	cfg.IOGroups = 16
 	cfg.PFS.GroupWidth = 16
 	return cfg
 }
@@ -25,29 +22,6 @@ func TestBuildScaleShape(t *testing.T) {
 	// 1280 nodes fit a 36x36 near-square grid.
 	if got := m.Config().Mesh; got.Width != 36 || got.Height != 36 {
 		t.Fatalf("mesh %dx%d, want 36x36", got.Width, got.Height)
-	}
-	// The I/O-group partition: 16 contiguous, non-decreasing tiles of 16
-	// servers each, numbered 1..16 after the compute side's group 0.
-	if g := m.ioGroups(); g != 16 {
-		t.Fatalf("ioGroups = %d, want 16", g)
-	}
-	counts := make(map[int]int)
-	prev := 1
-	for i := 0; i < 256; i++ {
-		g := m.ioGroup(i)
-		if g < prev {
-			t.Fatalf("ioGroup(%d) = %d below ioGroup(%d) = %d: tiles not contiguous", i, g, i-1, prev)
-		}
-		prev = g
-		counts[g]++
-	}
-	if len(counts) != 16 {
-		t.Fatalf("servers landed in %d groups, want 16", len(counts))
-	}
-	for g, c := range counts {
-		if c != 16 {
-			t.Fatalf("group %d holds %d servers, want 16", g, c)
-		}
 	}
 }
 

@@ -72,8 +72,7 @@ type linkKey struct {
 func linkIndex(node int, dir direction) int { return node*4 + int(dir) }
 
 // Mesh is the interconnect instance. All methods must be called from
-// simulation context (events or processes of the owning kernel — or, in
-// sharded mode, of the kernel owning the sending node's group).
+// simulation context (events or processes of the owning kernel).
 type Mesh struct {
 	k   *sim.Kernel
 	cfg Config
@@ -83,13 +82,6 @@ type Mesh struct {
 	ejectFree  []sim.Time // per-node ejection port clock
 	outages    [][]outage // per-node static down intervals (see AddOutage)
 
-	// Sharded mode (BindShards): sends are deferred into per-group
-	// outboxes and resolved at round barriers; see Resolve. The link and
-	// port clocks above stay global — they are only ever advanced from
-	// Resolve, which runs single-threaded in canonical order.
-	shards  *sim.ShardSet
-	groupOf []int // node -> shard group
-
 	// Measurements.
 	Messages int64
 	Bytes    int64
@@ -98,11 +90,9 @@ type Mesh struct {
 }
 
 // outage is one closed-open [at, until) interval during which a node
-// drops deliveries. Outages are a static schedule rather than a runtime
-// flag because a flag would be read from other groups' execution
-// contexts in a sharded run; the machine layer knows every outage at
-// build time, so the lookup is a pure function of the send time on
-// either engine.
+// drops deliveries. The machine layer knows every outage at build time,
+// so the schedule is static and the lookup is a pure function of the
+// send time.
 type outage struct{ at, until sim.Time }
 
 // New builds a mesh on kernel k. It panics on a non-positive geometry or
@@ -127,39 +117,6 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 
 // Nodes reports the number of node slots in the mesh.
 func (m *Mesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
-
-// MinLookahead returns a lower bound on the delivery latency of any
-// message: HopLatency + RecvOverhead. Even a zero-byte self-send pays
-// one hop of ejection-stage latency plus the receive software cost, and
-// the bound must hold for Transfer too, whose sender overhead is paid
-// by the sleeping process before the message is injected — so
-// SendOverhead cannot be part of the bound. This is the safe lookahead
-// window for conservative parallel execution (sim.ShardSet).
-func (m *Mesh) MinLookahead() sim.Time { return m.cfg.HopLatency + m.cfg.RecvOverhead }
-
-// BindShards switches the mesh into sharded mode: sends from a node are
-// appended to its group's outbox and resolved at round barriers in the
-// canonical (time, shard, seq) order, instead of advancing the link
-// clocks inline. groupOf maps every mesh node slot to its shard group.
-// The shard set's lookahead must not exceed MinLookahead — otherwise a
-// message could arrive inside the window that was executed assuming no
-// input, and the conservative protocol would be unsound.
-func (m *Mesh) BindShards(ss *sim.ShardSet, groupOf []int) {
-	if len(groupOf) != m.Nodes() {
-		panic(fmt.Sprintf("mesh: groupOf covers %d of %d nodes", len(groupOf), m.Nodes()))
-	}
-	for n, g := range groupOf {
-		if g < 0 || g >= ss.Groups() {
-			panic(fmt.Sprintf("mesh: node %d assigned to group %d outside %d groups", n, g, ss.Groups()))
-		}
-	}
-	if la := ss.Lookahead(); la > m.MinLookahead() {
-		panic(fmt.Sprintf("mesh: shard lookahead %v exceeds the mesh minimum latency %v", la, m.MinLookahead()))
-	}
-	m.shards = ss
-	m.groupOf = append([]int(nil), groupOf...)
-	ss.SetResolver(m)
-}
 
 // AddOutage schedules a static delivery outage for node over [at,
 // until). Messages sent to the node inside the interval traverse the
@@ -260,15 +217,7 @@ func occupy(free *sim.Time, arrival sim.Time, dur sim.Time) sim.Time {
 // overhead) has arrived. It returns the delivery time. Send itself does
 // not consume sender CPU time; callers that model a blocking sender should
 // sleep SendOverhead around the call (see Transfer).
-//
-// In sharded mode the message is outboxed and resolved at the round
-// barrier instead, and Send returns 0: the delivery time is not known
-// at send time. No non-test caller uses the return value.
 func (m *Mesh) Send(src, dst int, size int64, deliver func()) sim.Time {
-	if m.shards != nil {
-		m.post(src, dst, size, false).Fn = deliver
-		return 0
-	}
 	deliveredAt, delivered := m.transitAt(m.k.Now(), m.cfg.SendOverhead, src, dst, size)
 	if delivered && deliver != nil {
 		m.k.At(deliveredAt, deliver)
@@ -281,45 +230,11 @@ func (m *Mesh) Send(src, dst int, size int64, deliver func()) sim.Time {
 // closure constructed, making the whole send allocation-free. Routing,
 // timing, accounting, and drop behavior are identical to Send.
 func (m *Mesh) SendCall(src, dst int, size int64, deliver func(any), arg any) sim.Time {
-	if m.shards != nil {
-		p := m.post(src, dst, size, false)
-		p.CFn, p.Arg = deliver, arg
-		return 0
-	}
 	deliveredAt, delivered := m.transitAt(m.k.Now(), m.cfg.SendOverhead, src, dst, size)
 	if delivered && deliver != nil {
 		m.k.AtCall(deliveredAt, deliver, arg)
 	}
 	return deliveredAt
-}
-
-// post books a sharded send into the source group's outbox. The send's
-// group is derived from src — model code always sends from the node it
-// is executing on, so src's group is the executing group.
-func (m *Mesh) post(src, dst int, size int64, noSendOH bool) *sim.Post {
-	if src < 0 || src >= m.Nodes() || dst < 0 || dst >= m.Nodes() {
-		panic(fmt.Sprintf("mesh: send %d->%d outside %d-node mesh", src, dst, m.Nodes()))
-	}
-	if size < 0 {
-		panic("mesh: negative message size")
-	}
-	p := m.shards.Post(m.groupOf[src])
-	p.Src, p.Dst, p.Size, p.NoSendOverhead = src, dst, size, noSendOH
-	return p
-}
-
-// Resolve implements sim.Resolver: it routes an outboxed post exactly
-// like an inline transit would have at its send time, advancing the
-// global link and port clocks. Called single-threaded at round
-// barriers in canonical (time, shard, seq) order, which keeps the
-// shared clocks deterministic at every worker count.
-func (m *Mesh) Resolve(p *sim.Post) (group int, at sim.Time, deliver bool) {
-	oh := m.cfg.SendOverhead
-	if p.NoSendOverhead {
-		oh = 0
-	}
-	at, deliver = m.transitAt(p.T, oh, p.Src, p.Dst, p.Size)
-	return m.groupOf[p.Dst], at, deliver
 }
 
 // transitAt routes a message sent at now, advances the port and link
@@ -390,15 +305,9 @@ func (m *Mesh) transitAt(now sim.Time, sendOH sim.Time, src, dst int, size int64
 // the sender software overhead, the message is injected, and a Signal is
 // returned that fires at delivery on the destination. The overhead was
 // already paid by the sleeping process, so the transit charges none.
-// Transfer is a client-side primitive: in sharded mode the signal lives
-// on the mesh's home kernel, so only processes of that group may use it.
 func (m *Mesh) Transfer(p *sim.Proc, src, dst int, size int64) *sim.Signal {
 	p.Sleep(m.cfg.SendOverhead)
 	done := sim.NewSignal(m.k)
-	if m.shards != nil {
-		m.post(src, dst, size, true).Fn = func() { done.Fire(nil) }
-		return done
-	}
 	deliveredAt, delivered := m.transitAt(m.k.Now(), 0, src, dst, size)
 	if delivered {
 		m.k.At(deliveredAt, func() { done.Fire(nil) })

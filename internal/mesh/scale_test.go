@@ -150,8 +150,6 @@ func TestLargeMeshLinkClockIndexing(t *testing.T) {
 func TestOutageLookupMatchesLinearScan(t *testing.T) {
 	k := sim.NewKernel()
 	m := New(k, scaleConfig(32, 40))
-	ss := sim.NewShardSet(2, m.MinLookahead())
-	m.BindShards(ss, make([]int, m.Nodes()))
 
 	const node = 777
 	rng := rand.New(rand.NewSource(99))

@@ -172,9 +172,6 @@ func (at *pieceAttempt) finish(err error) {
 func (fsys *FileSystem) sendAttempt(at *pieceAttempt) {
 	srv := fsys.servers[at.meta.group[at.pc.server]]
 	pol := fsys.cfg.Retry
-	// Health is queried at the client's clock (DownAt): on a sharded
-	// machine the server lives on another shard and its flags may not be
-	// read from here, but the outage schedule is static and pure.
 	if down, _ := srv.DownAt(fsys.k.Now()); pol.DownPoll > 0 && down {
 		// Known down before anything hit the wire: park, don't send.
 		fsys.deferAttempt(at)

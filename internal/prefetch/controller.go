@@ -10,8 +10,7 @@ import "repro/internal/sim"
 //
 // Every decision is a pure function of integer window counters
 // accumulated in simulated-event order (decideTune), so controlled runs
-// stay bit-identical at a fixed seed — on the legacy engine and at every
-// shard count, where all reads execute on the compute shard.
+// stay bit-identical at a fixed seed.
 type ControllerConfig struct {
 	// Interval is the window length in served reads (0 disables).
 	Interval int64

@@ -52,8 +52,7 @@ type Options struct {
 // Measurement is one scenario's result.
 type Measurement struct {
 	Scenario      string  `json:"scenario"`
-	Shards        int     `json:"shards,omitempty"` // worker count; 0 = legacy single-kernel engine
-	ComputeNodes  int     `json:"compute_nodes"`    // machine shape the number was measured on
+	ComputeNodes  int     `json:"compute_nodes"` // machine shape the number was measured on
 	IONodes       int     `json:"io_nodes"`
 	WallSec       float64 `json:"wall_sec"`        // per run, averaged over the fastest pass
 	RunsPerPass   int     `json:"runs_per_pass"`   // back-to-back runs amortized per timed pass
@@ -67,17 +66,9 @@ type Measurement struct {
 	Fingerprint   string  `json:"fingerprint"`     // workload.Result.Fingerprint, %016x
 	TraceDigest   string  `json:"trace_digest"`    // trace.Log.Digest, %016x
 
-	// MaxQueueDepth is the deepest any kernel's event queue got — a
-	// deterministic property of the schedule. BarrierDrainSec is the
-	// wall-clock total of the sharded engine's single-threaded barrier
-	// drain during the instrumented run (sharded only): the serial
-	// fraction that bounds parallel speedup.
-	MaxQueueDepth   int     `json:"max_queue_depth"`
-	BarrierDrainSec float64 `json:"barrier_drain_sec,omitempty"`
-
-	// PerGroupEvents is the per-shard-group event split (sharded engine
-	// only): the load-balance evidence behind any parallel speedup claim.
-	PerGroupEvents []uint64 `json:"per_group_events,omitempty"`
+	// MaxQueueDepth is the deepest the event queue got — a
+	// deterministic property of the schedule.
+	MaxQueueDepth int `json:"max_queue_depth"`
 
 	// Flow-control token accounting (zero unless the scenario arms the
 	// PFS token bucket): operations that consulted the bucket, how many
@@ -134,18 +125,15 @@ func Measure(sc scenarios.Scenario, opt Options) (Measurement, error) {
 	}
 	m.SimSec = res.Elapsed.Seconds()
 	mcfg := res.Machine.Config()
-	m.Shards = mcfg.Shards
 	m.ComputeNodes = mcfg.ComputeNodes
 	m.IONodes = mcfg.IONodes
 	m.Events = res.Machine.Executed()
-	m.PerGroupEvents = res.Machine.PerGroupExecuted()
 	m.Reads = res.ReadCalls
 	if res.ReadCalls > 0 {
 		m.AllocsPerRead = float64(ms1.Mallocs-ms0.Mallocs) / float64(res.ReadCalls)
 		m.BytesPerRead = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(res.ReadCalls)
 	}
 	m.MaxQueueDepth = res.Machine.MaxQueueDepth()
-	m.BarrierDrainSec = res.Machine.BarrierDrainWall().Seconds()
 	m.Fingerprint = fmt.Sprintf("%016x", res.Fingerprint())
 	m.TraceDigest = fmt.Sprintf("%016x", tl.Digest())
 	m.TokenOps = res.TokenOps

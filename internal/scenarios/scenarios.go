@@ -10,8 +10,6 @@
 package scenarios
 
 import (
-	"fmt"
-
 	"repro/internal/disk"
 	"repro/internal/ionode"
 	"repro/internal/machine"
@@ -105,16 +103,12 @@ func TournamentTweak(spec *workload.Spec) {
 }
 
 // ScaleMachine is the large-configuration platform: 1024 compute and
-// 256 I/O nodes on a 36×36 mesh, the I/O side partitioned into 16 shard
-// groups (a 1024×256 machine on 257 kernels would spend every ~20µs
-// lookahead round on barriers instead of events), and files striping
-// over 16-node tiles of the I/O partition so declustering stays
-// O(stripe width).
+// 256 I/O nodes on a 36×36 mesh, with files striping over 16-node tiles
+// of the I/O side so declustering stays O(stripe width).
 func ScaleMachine() machine.Config {
 	cfg := QuickstartMachine()
 	cfg.ComputeNodes = 1024
 	cfg.IONodes = 256
-	cfg.IOGroups = 16
 	cfg.PFS.GroupWidth = 16
 	return cfg
 }
@@ -130,8 +124,7 @@ func ScaleTweak(spec *workload.Spec) {
 
 // Scale returns the 1024×256 scenario. It is deliberately not part of
 // Golden() — the detgate golden set stays small and fast — and is
-// instead covered by the scale shard-differential test and reachable by
-// name (runbench -scenario scale).
+// reachable by name (runbench -scenario scale).
 func Scale() Scenario {
 	return Scenario{Name: "scale", Config: ScaleMachine, Tweak: ScaleTweak}
 }
@@ -144,23 +137,6 @@ func Golden() []Scenario {
 		{Name: "crash", Config: CrashMachine,
 			Tweak: func(spec *workload.Spec) { spec.ContinueOnUnavailable = true }},
 		{Name: "tournament", Config: QuickstartMachine, Tweak: TournamentTweak},
-	}
-}
-
-// WithShards returns sc reconfigured for the sharded engine with the
-// given worker count (n ≥ 1), renamed "<name>@shards=<n>". The fixed
-// group partition makes results bit-identical at every n, so detgate
-// records one sharded digest per scenario and asserts the others equal.
-func WithShards(sc Scenario, n int) Scenario {
-	base := sc.Config
-	return Scenario{
-		Name: fmt.Sprintf("%s@shards=%d", sc.Name, n),
-		Config: func() machine.Config {
-			cfg := base()
-			cfg.Shards = n
-			return cfg
-		},
-		Tweak: sc.Tweak,
 	}
 }
 

@@ -33,13 +33,7 @@ type event struct {
 // Simultaneous events execute in an explicit documented total order,
 // never by queue insertion accident: (time, seq), where seq is the
 // kernel's scheduling sequence number — events booked earlier run
-// earlier at the same instant. In a sharded execution (ShardSet) each
-// group's kernel keeps its own seq counter, and cross-group deliveries
-// extend this to the global (time, shard, seq) order documented in
-// shard.go: a delivery is booked on its target kernel at the round
-// barrier, in canonical merge order, so the seq it receives — and hence
-// its rank among same-instant events — is a pure function of the
-// simulation's data, identical at every worker count.
+// earlier at the same instant.
 type Kernel struct {
 	now        Time
 	seq        uint64
@@ -62,26 +56,6 @@ func NewKernel() *Kernel {
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
-
-// qpush inserts a booked event into the queue and tracks the
-// pending-count high-water mark.
-func (k *Kernel) qpush(e *event) {
-	k.q.push(e)
-	if k.q.n > k.maxPending {
-		k.maxPending = k.q.n
-	}
-}
-
-// releaseIdleQueue drops the queue's storage when no event is pending.
-// Run and ShardSet.Run call it on return, never mid-run: a sharded group
-// empties every round and would otherwise reallocate its buckets each
-// time. A finished machine stays reachable through its parked daemon
-// procs, so storage kept here would outlive the run.
-func (k *Kernel) releaseIdleQueue() {
-	if k.q.n == 0 {
-		k.q.reset()
-	}
-}
 
 // Pending reports the number of events waiting to run.
 func (k *Kernel) Pending() int { return k.q.n }
@@ -122,15 +96,12 @@ func (k *Kernel) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// book assigns the next sequence number to a pooled event at absolute
-// time t without inserting it into the queue. Booking in the past
-// (t < Now) panics: it would silently reorder causality. The split from
-// queue insertion exists for the shard barrier drain, which books
-// deliveries in canonical merge order (fixing their seq, and hence
-// their rank among same-instant events) but batches the queue inserts
-// per destination group — insertion order cannot affect the (t, seq)
-// priority, so the batching is invisible to the schedule.
-func (k *Kernel) book(t Time) *event {
+// schedule books a pooled event at absolute time t, inserts it, and
+// returns it for the caller to attach a callback. The queue orders
+// events by (t, seq) only, so pushing before the callback fields are
+// set is safe. Scheduling in the past (t < Now) panics: it would
+// silently reorder causality.
+func (k *Kernel) schedule(t Time) *event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
@@ -144,16 +115,10 @@ func (k *Kernel) book(t Time) *event {
 		e = &event{}
 	}
 	e.t, e.seq = t, k.seq
-	return e
-}
-
-// schedule books a pooled event at absolute time t, inserts it, and
-// returns it for the caller to attach a callback. The queue orders
-// events by (t, seq) only, so pushing before the callback fields are
-// set is safe.
-func (k *Kernel) schedule(t Time) *event {
-	e := k.book(t)
-	k.qpush(e)
+	k.q.push(e)
+	if k.q.n > k.maxPending {
+		k.maxPending = k.q.n
+	}
 	return e
 }
 
@@ -202,11 +167,14 @@ func (k *Kernel) AfterCallErr(d Time, fn func(any, error), arg any, err error) {
 // Run executes events until none remain, then returns the first process
 // failure (panic) if any occurred. Processes still blocked when the event
 // queue drains are reported as a deadlock error. A drained queue also
-// drops its storage on return (see releaseIdleQueue); events scheduled
-// afterwards start a fresh queue epoch.
+// drops its storage on return, never mid-run: a finished machine stays
+// reachable through its parked daemon procs, so storage kept here would
+// outlive the run. Events scheduled afterwards start a fresh queue epoch.
 func (k *Kernel) Run() error {
 	err := k.RunUntil(Time(1)<<62 - 1)
-	k.releaseIdleQueue()
+	if k.q.n == 0 {
+		k.q.reset()
+	}
 	return err
 }
 

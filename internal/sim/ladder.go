@@ -30,7 +30,7 @@ package sim
 //     retained and reused across operations, so the steady state
 //     allocates nothing — gated by `detgate -allocs` via
 //     BenchmarkQueuePushPop. The storage is dropped only when a run
-//     returns with the queue empty (Kernel.releaseIdleQueue).
+//     returns with the queue empty (Kernel.Run).
 //
 // Domain: event times in [0, 1<<62), the kernel's legal range (booking
 // in the past panics, Run's deadline is 1<<62 - 1). Within it the rung

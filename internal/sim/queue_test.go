@@ -238,43 +238,3 @@ func TestRunReleasesIdleQueue(t *testing.T) {
 		t.Fatal("queue storage retained after the second Run")
 	}
 }
-
-// TestShardSetRunReleasesIdleQueues: after ShardSet.Run every group's
-// queue is storage-free, the depth and drain-wall telemetry is
-// populated, and events booked on a group after Run still run in
-// (t, seq) order.
-func TestShardSetRunReleasesIdleQueues(t *testing.T) {
-	const L = Time(10)
-	ss := NewShardSet(4, L)
-	ss.SetResolver(echoResolver{l: L})
-	n := 0
-	var bounce func(g int) func()
-	bounce = func(g int) func() {
-		return func() {
-			n++
-			if n < 200 {
-				p := ss.Post(g)
-				p.Dst = (g + 1) % 4
-				p.Fn = bounce((g + 1) % 4)
-			}
-		}
-	}
-	ss.Kernel(0).At(0, bounce(0))
-	r := xorshift(0xfeed)
-	fill(ss.Kernel(2), &r, 500, 1_000_000)
-	if err := ss.Run(2); err != nil {
-		t.Fatal(err)
-	}
-	if ss.MaxPending() < 500 {
-		t.Fatalf("MaxPending = %d, want >= 500", ss.MaxPending())
-	}
-	if ss.DrainWall() <= 0 {
-		t.Fatalf("DrainWall = %v, want > 0", ss.DrainWall())
-	}
-	for g := 0; g < ss.Groups(); g++ {
-		if ss.Kernel(g).q.holdsStorage() {
-			t.Fatalf("group %d retained queue storage after Run", g)
-		}
-	}
-	checkOrderAfterRun(t, ss.Kernel(2), &r, func() error { return ss.Run(1) })
-}

@@ -33,19 +33,9 @@ type run struct {
 // asserts nothing was dropped.
 const traceCap = 1 << 18
 
-// Shards, when positive, runs every checked simulation on the sharded
-// engine with that many workers (machine.Config.Shards). The oracles
-// are engine-agnostic — determinism, conservation, and sanity must hold
-// either way — so pointing the whole battery at the sharded engine is
-// the cheap way to soak it across random scenarios.
-var Shards int
-
 // execute builds a fresh machine for the scenario and drives it once.
 // The spec may be tweaked by the caller (reference runs, delay bumps).
 func execute(cfg machine.Config, spec workload.Spec) run {
-	if Shards > 0 {
-		cfg.Shards = Shards
-	}
 	tl := trace.NewLog(traceCap)
 	spec.Trace = tl
 	res, err := workload.Run(cfg, spec)

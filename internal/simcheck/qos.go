@@ -1,16 +1,15 @@
 package simcheck
 
 // This file is the QoS oracle set: open-loop multi-tenant overload
-// scenarios checked for determinism, cross-engine agreement, per-tenant
-// conservation, starvation-freedom, and weighted fairness — plus the
-// deliberately unfair FIFO twin, which must violate the fairness bound
-// on some seeds or the sweep is declared too tame to prove anything.
+// scenarios checked for determinism, per-tenant conservation,
+// starvation-freedom, and weighted fairness — plus the deliberately
+// unfair FIFO twin, which must violate the fairness bound on some seeds
+// or the sweep is declared too tame to prove anything.
 
 import (
 	"fmt"
 	"io"
 	"math/rand"
-	"reflect"
 
 	"repro/internal/ionode"
 	"repro/internal/machine"
@@ -71,18 +70,12 @@ func GenerateQoS(seed int64) Scenario {
 	return Scenario{Seed: seed, Cfg: cfg, QoS: spec}
 }
 
-// executeQoSAt drives one open-loop run at an explicit shard count
-// (bypassing the package-level Shards override used by executeQoS).
-func executeQoSAt(cfg machine.Config, spec workload.QoSSpec, shards int) run {
-	cfg.Shards = shards
+// executeQoS builds a fresh machine and drives one open-loop run.
+func executeQoS(cfg machine.Config, spec workload.QoSSpec) run {
 	tl := trace.NewLog(traceCap)
 	spec.Trace = tl
 	res, err := workload.RunQoS(cfg, spec)
 	return run{res: res, tl: tl, err: err}
-}
-
-func executeQoS(cfg machine.Config, spec workload.QoSSpec) run {
-	return executeQoSAt(cfg, spec, Shards)
 }
 
 // QoSReport extends a QoS seed's Report with the FIFO twin's fate.
@@ -102,8 +95,7 @@ type QoSReport struct {
 }
 
 // CheckQoS expands the seed into an open-loop overload scenario and runs
-// the QoS oracle set: determinism (two identical runs), the engine
-// differential (legacy vs sharded observables must agree), per-tenant
+// the QoS oracle set: determinism (two identical runs), per-tenant
 // request and byte conservation, starvation-freedom, the SCFQ fairness
 // bound — and the FIFO twin, which shares every oracle except fairness.
 func CheckQoS(seed int64) QoSReport {
@@ -134,7 +126,6 @@ func CheckQoSScenario(sc Scenario) QoSReport {
 	rep.Throttles = base.res.QoS.Throttled
 
 	rep.Failures = append(rep.Failures, checkQoSLedger(seed, sc, base, false)...)
-	rep.Failures = append(rep.Failures, checkQoSEngines(seed, sc, base)...)
 
 	// The FIFO twin: same arrival schedule, same instrumentation, no
 	// fairness. It must still satisfy determinism-by-construction oracles
@@ -270,64 +261,6 @@ func qosUnfair(res *workload.Result) bool {
 		}
 	}
 	return false
-}
-
-// checkQoSEngines is the cross-engine differential: the identical
-// scenario on the other engine (legacy base → 4-way sharded, sharded
-// base → 1-way sharded) must reproduce every observable — the whole
-// per-tenant ledger, elapsed time, delivered bytes, delivery digests,
-// and the trace timeline. Whole-result fingerprints additionally match
-// whenever both runs are on the sharded engine (the kernel-history fold
-// legitimately differs between engines, never between shard widths).
-func checkQoSEngines(seed int64, sc Scenario, base run) []Failure {
-	var fs []Failure
-	fail := func(format string, args ...any) {
-		fs = append(fs, Failure{Seed: seed, Oracle: "engine-differential", Detail: fmt.Sprintf(format, args...)})
-	}
-	other := 4
-	if Shards > 1 {
-		other = 1
-	}
-	alt := executeQoSAt(sc.Cfg, *sc.QoS, other)
-	if alt.err != nil {
-		fail("shards=%d run failed: %v", other, alt.err)
-		return fs
-	}
-	if a, b := base.tl.Digest(), alt.tl.Digest(); a != b {
-		fail("trace digests differ: %016x (shards=%d) vs %016x (shards=%d)", a, Shards, b, other)
-	}
-	if base.res.Elapsed != alt.res.Elapsed {
-		fail("elapsed differs: %v vs %v", base.res.Elapsed, alt.res.Elapsed)
-	}
-	if base.res.TotalBytes != alt.res.TotalBytes {
-		fail("delivered bytes differ: %d vs %d", base.res.TotalBytes, alt.res.TotalBytes)
-	}
-	if !reflect.DeepEqual(base.res.DeliveryDigests, alt.res.DeliveryDigests) {
-		fail("per-tenant delivery digests differ")
-	}
-	qa, qb := base.res.QoS, alt.res.QoS
-	if !reflect.DeepEqual(qa.Tenants, qb.Tenants) {
-		fail("per-tenant QoS ledgers differ between engines")
-	}
-	// The histogram is compared by digest, not DeepEqual: its lazy sort
-	// flag flips when anything fingerprints the base run, which is a
-	// representation detail, not an observable.
-	if a, b := qa.Latency.Fingerprint(), qb.Latency.Fingerprint(); a != b {
-		fail("latency histograms differ: %016x vs %016x", a, b)
-	}
-	if qa.Arrivals != qb.Arrivals || qa.Throttled != qb.Throttled ||
-		qa.Overloaded != qb.Overloaded || qa.Failed != qb.Failed || qa.SLOMet != qb.SLOMet {
-		fail("aggregate QoS counters differ: %+v vs %+v",
-			[]int64{qa.Arrivals, qa.Throttled, qa.Overloaded, qa.Failed, qa.SLOMet},
-			[]int64{qb.Arrivals, qb.Throttled, qb.Overloaded, qb.Failed, qb.SLOMet})
-	}
-	if Shards >= 1 {
-		if a, b := base.res.Fingerprint(), alt.res.Fingerprint(); a != b {
-			fail("sharded fingerprints differ across widths: %016x (shards=%d) vs %016x (shards=%d)",
-				a, Shards, b, other)
-		}
-	}
-	return fs
 }
 
 // CheckQoSRange is CheckRange over CheckQoS: seeds [start, start+n) on a

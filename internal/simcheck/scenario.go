@@ -58,7 +58,7 @@ type Scenario struct {
 	// QoS marks open-loop multi-tenant scenarios: non-nil means the run
 	// is driven by workload.RunQoS over this spec (Spec is ignored), with
 	// the fair scheduler armed in Cfg.Fair and the QoS oracle set —
-	// determinism, engine differential, per-tenant conservation,
+	// determinism, per-tenant conservation,
 	// starvation-freedom, and the fairness bound — applied instead of the
 	// file-workload oracles.
 	QoS *workload.QoSSpec
@@ -204,18 +204,17 @@ func GenerateChaos(seed int64) Scenario {
 }
 
 // armScale moves sc onto the large-machine platform: 256 compute × 64
-// I/O nodes with the bounded I/O-group shard partition and (sometimes)
-// tiled default striping, the layouts the 1024×256 scale model runs on.
-// The organic draw's mode, pattern, prefetch placement, and fault class
-// all carry over — large machines earn no oracle exemptions — but
-// per-node work shrinks to 1–3 rounds of ≤32 KB requests so a sweep of
-// seeds stays inside the CI race-detector budget.
+// I/O nodes with (sometimes) tiled default striping, the layouts the
+// 1024×256 scale model runs on. The organic draw's mode, pattern,
+// prefetch placement, and fault class all carry over — large machines
+// earn no oracle exemptions — but per-node work shrinks to 1–3 rounds of
+// ≤32 KB requests so a sweep of seeds stays inside the CI race-detector
+// budget.
 func armScale(sc *Scenario, rng *rand.Rand) {
 	cfg := &sc.Cfg
 	spec := &sc.Spec
 	cfg.ComputeNodes = 256
 	cfg.IONodes = 64
-	cfg.IOGroups = pick(rng, 8, 16)
 	cfg.PFS.GroupWidth = pick(rng, 0, 8, 16)
 
 	// Redraw the stripe group for the wide partition: usually the whole
@@ -239,9 +238,8 @@ func armScale(sc *Scenario, rng *rand.Rand) {
 
 // GenerateScale expands a seed like Generate and then moves the
 // scenario onto the 256×64 scale platform. Scale sweeps
-// (`cmd/simcheck -scale`) use this so the flat layouts, bounded shard
-// partition, and tiled striping face the same oracle set as the paper-
-// sized machines.
+// (`cmd/simcheck -scale`) use this so the flat layouts and tiled
+// striping face the same oracle set as the paper-sized machines.
 func GenerateScale(seed int64) Scenario {
 	sc := Generate(seed)
 	srng := rand.New(rand.NewSource(seed*2862933555777941757 + 7046029254386353087))

@@ -38,27 +38,6 @@ func clampWorkers(workers, n int) int {
 	return workers
 }
 
-// Compose resolves an outer sweep width when each job is itself inner-way
-// parallel (a sharded simulation running inner workers): the outer pool
-// is capped so outer×inner never oversubscribes the CPUs. workers ≤ 0
-// means "use every CPU" as in Map; inner ≤ 1 leaves the request
-// untouched. At least one outer worker always survives the cap.
-func Compose(workers, inner int) int {
-	if inner <= 1 {
-		return workers
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if max := runtime.NumCPU() / inner; workers > max {
-		workers = max
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
 // Map evaluates fn(i) for every i in [0, n) across a pool of workers
 // goroutines and returns the results in index order. A panic in any job
 // is captured and re-raised on the calling goroutine after the pool has

@@ -214,43 +214,6 @@ func TestClampWorkers(t *testing.T) {
 	}
 }
 
-// Compose caps the outer sweep width so outer×inner parallelism stays
-// within the CPUs, while never starving the sweep entirely.
-func TestCompose(t *testing.T) {
-	ncpu := runtime.NumCPU()
-	// inner ≤ 1 leaves the request untouched, sentinels included.
-	for _, w := range []int{8, 1, 0, -2} {
-		for _, inner := range []int{1, 0, -1} {
-			if got := Compose(w, inner); got != w {
-				t.Errorf("Compose(%d, %d) = %d, want %d", w, inner, got, w)
-			}
-		}
-	}
-	// inner > 1: the result is min(request-or-NumCPU, NumCPU/inner),
-	// floored at one outer worker.
-	for _, c := range []struct{ workers, inner int }{
-		{0, 4}, {-1, 4}, {1, 1 << 20}, {ncpu, 2}, {1, 2}, {64, 3},
-	} {
-		want := c.workers
-		if want <= 0 {
-			want = ncpu
-		}
-		if m := ncpu / c.inner; want > m {
-			want = m
-		}
-		if want < 1 {
-			want = 1
-		}
-		got := Compose(c.workers, c.inner)
-		if got != want {
-			t.Errorf("Compose(%d, %d) = %d, want %d (NumCPU=%d)", c.workers, c.inner, got, want, ncpu)
-		}
-		if got*c.inner > ncpu && got > 1 {
-			t.Errorf("Compose(%d, %d) = %d oversubscribes %d CPUs at inner=%d", c.workers, c.inner, got, ncpu, c.inner)
-		}
-	}
-}
-
 // Regression: with workers far above the job count, observed concurrency
 // (a proxy for goroutines actually running jobs) must not exceed the job
 // count, and every job must still run exactly once.

@@ -138,9 +138,6 @@ func (l *Log) Add(e Event) {
 // Events returns the retained events in order.
 func (l *Log) Events() []Event { return l.events }
 
-// Cap reports the log's retention capacity.
-func (l *Log) Cap() int { return l.cap }
-
 // Dropped reports how many events did not fit.
 func (l *Log) Dropped() int64 { return l.dropped }
 

@@ -77,7 +77,7 @@ func (r *Result) Fingerprint() uint64 {
 			put(uint64(a.RebuildBytes))
 			put(uint64(a.RebuildDoneAt))
 		}
-		put(r.Machine.KernelFingerprint())
+		put(r.Machine.K.Fingerprint())
 	}
 	if p := r.Prefetch; p != nil {
 		for _, v := range []int64{p.Issued, p.Hits, p.HitsInWait, p.Misses,
@@ -113,7 +113,7 @@ func (r *Result) Fingerprint() uint64 {
 	}
 	// The QoS ledger folds last and only when armed (RunQoS): legacy
 	// runs never allocate it, so every pre-QoS golden digest is
-	// untouched. Every per-tenant counter participates so an engine
+	// untouched. Every per-tenant counter participates so a run
 	// that mis-routes even one request to the wrong tenant diverges.
 	if q := r.QoS; q != nil {
 		put(uint64(len(q.Tenants)))

@@ -21,8 +21,8 @@ import (
 // makes overload possible).
 //
 // Every random quantity is a pure function of (Seed, tenant, k) through
-// qosRand, so the schedule is bit-identical on the legacy and sharded
-// engines and needs no shared RNG state:
+// qosRand, so the schedule is bit-identical run to run and needs no
+// shared RNG state:
 //
 //   - per-tenant demand: the request count is Requests scaled by a
 //     bounded Pareto factor in [1,8) — a few tenants are bursty whales;
@@ -111,8 +111,7 @@ type QoSResult struct {
 }
 
 // qosRand is the pure hash every QoS draw comes from: a splitmix64-style
-// finalizer over (Seed, tenant, k, salt). No state, no draw order — both
-// engines evaluate the same function.
+// finalizer over (Seed, tenant, k, salt). No state, no draw order.
 func qosRand(seed int64, tenant, k int, salt uint64) uint64 {
 	x := uint64(seed)*0x27BB2EE687B0B0FD + uint64(tenant)*0x9E3779B97F4A7C15 + uint64(k)*0xD6E8FEB86659FD93 + salt
 	x ^= x >> 30
@@ -212,18 +211,16 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 	qr := &QoSResult{Tenants: make([]TenantStats, spec.Tenants), SLO: spec.SLO}
 	res.QoS = qr
 
-	var arrTl *trace.Log
 	if spec.Trace != nil {
 		m.SetTrace(spec.Trace)
-		m.FS.SetTrace(m.ClientTrace())
-		arrTl = m.ClientTrace()
+		m.FS.SetTrace(spec.Trace)
 	}
 
 	var pf *prefetch.Prefetcher
 	if spec.Prefetch != nil && spec.PrefetchEvery > 0 {
 		pcfg := *spec.Prefetch
 		if spec.Trace != nil && pcfg.Trace == nil {
-			pcfg.Trace = m.ClientTrace()
+			pcfg.Trace = spec.Trace
 		}
 		pf = prefetch.New(m.K, pcfg)
 		res.Prefetch = pf
@@ -258,9 +255,8 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 
 	// The arrival processes. Each sleeps its tenant's heavy-tailed gap
 	// sequence and spawns a reader per request; readers run concurrently
-	// and never delay the next arrival. All procs live on the compute
-	// side (kernel K / shard group 0), so their interleaving is the
-	// kernel's deterministic event order on both engines.
+	// and never delay the next arrival. Their interleaving is the
+	// kernel's deterministic event order.
 	var elapsed sim.Time
 	for t := 0; t < spec.Tenants; t++ {
 		t := t
@@ -275,8 +271,8 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 				off := ((base + int64(k)) % units) * spec.RequestSize
 				st.Requests++
 				qr.Arrivals++
-				if arrTl != nil {
-					arrTl.Add(trace.Event{T: p.Now(), Kind: trace.QoSArrival, Node: t, N: spec.RequestSize})
+				if spec.Trace != nil {
+					spec.Trace.Add(trace.Event{T: p.Now(), Kind: trace.QoSArrival, Node: t, N: spec.RequestSize})
 				}
 				m.K.Go(fmt.Sprintf("qos-rd%d.%d", t, k), func(rp *sim.Proc) {
 					start := rp.Now()

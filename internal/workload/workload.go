@@ -228,11 +228,8 @@ func Run(cfg machine.Config, spec Spec) (*Result, error) {
 	}
 
 	if spec.Trace != nil {
-		// Machine first: in sharded mode it builds the per-group buckets,
-		// and client-side producers must attach to the group-0 bucket
-		// (ClientTrace), not the user's log directly.
 		m.SetTrace(spec.Trace)
-		m.FS.SetTrace(m.ClientTrace())
+		m.FS.SetTrace(spec.Trace)
 	}
 	var pf *prefetch.Prefetcher
 	var ss *prefetch.ServerSide
@@ -242,7 +239,7 @@ func Run(cfg machine.Config, spec Spec) (*Result, error) {
 	case spec.Prefetch != nil:
 		pcfg := *spec.Prefetch
 		if spec.Trace != nil && pcfg.Trace == nil {
-			pcfg.Trace = m.ClientTrace()
+			pcfg.Trace = spec.Trace
 		}
 		// Machine-level defaults fill only what the spec left open: the
 		// policy when neither a Predictor nor a Policy is set, and the
