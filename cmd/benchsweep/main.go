@@ -117,9 +117,7 @@ func benchKernelSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.At(k.Now(), fn)
 		if k.Pending() >= 1024 {
-			// RunUntil keeps the queue's storage; Run would drop it on
-			// return and the next batch would regrow it.
-			if err := k.RunUntil(k.Now()); err != nil {
+			if err := k.Run(); err != nil {
 				b.Fatal(err)
 			}
 		}

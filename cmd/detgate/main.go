@@ -13,10 +13,10 @@
 //	go run ./cmd/detgate -update
 //
 // Allocation: with -allocs it shells out to `go test -bench` and asserts
-// that the zero-allocation hot paths — the DES kernel and mesh micros,
-// the event queue's hold-model bench at depths 1k and 100k, plus the pfs
-// client steady-state read and ionode service paths — still report 0
-// allocs/op.
+// that the zero-allocation hot paths — the DES kernel's event dispatch
+// and process switch, the mesh micro, the event queue's hold-model bench
+// at depths 1k and 100k, plus the pfs client steady-state read and
+// ionode service paths — still report 0 allocs/op.
 package main
 
 import (
@@ -106,7 +106,7 @@ var allocGatePackages = []struct {
 	pkg   string
 	bench string
 }{
-	{"./internal/sim/", "BenchmarkEventThroughput$|BenchmarkQueuePushPop/depth=(1k|100k)$"},
+	{"./internal/sim/", "BenchmarkEventThroughput$|BenchmarkProcSwitch$|BenchmarkQueuePushPop/depth=(1k|100k)$"},
 	{"./internal/mesh/", "BenchmarkSend$"},
 	{"./internal/pfs/", "BenchmarkClientSteadyRead$"},
 	{"./internal/ionode/", "BenchmarkServicePath$"},
@@ -117,6 +117,7 @@ var allocGatePackages = []struct {
 // (which append -N for GOMAXPROCS).
 var zeroAllocBenches = map[string]bool{
 	"BenchmarkEventThroughput":         true, // sim.Kernel event dispatch
+	"BenchmarkProcSwitch":              true, // sim.Proc block/wake coroutine switch
 	"BenchmarkQueuePushPop/depth=1k":   true, // event queue hold model, shallow
 	"BenchmarkQueuePushPop/depth=100k": true, // event queue hold model, deep
 	"BenchmarkSend":                    true, // mesh message delivery

@@ -47,6 +47,7 @@ func main() {
 
 func run(behind bool) sim.Time {
 	m := machine.Build(machine.DefaultConfig())
+	defer m.Close()
 	perNode := int64(stateMB) << 20
 	if err := m.FS.Create("ckpt", int64(parties)*perNode); err != nil {
 		log.Fatal(err)

@@ -50,6 +50,7 @@ func main() {
 // run loads the matrix once and returns the elapsed simulated time.
 func run(withPrefetch bool) (sim.Time, float64) {
 	m := machine.Build(machine.DefaultConfig())
+	defer m.Close()
 	const parties = 8
 	if err := m.FS.Create("matrix", matrixDim*rowBytes); err != nil {
 		log.Fatal(err)

@@ -81,6 +81,7 @@ func ExtTwoPhase(s Scale) (*stats.Table, error) {
 			return fetched.Bandwidth, nil
 		default:
 			m := machine.Build(s.machineConfig())
+			defer m.Close()
 			if err := m.FS.Create("f", fileSize); err != nil {
 				return 0, err
 			}
@@ -133,6 +134,7 @@ func ExtWriteBehind(s Scale) (*stats.Table, error) {
 // file in 64 KB records, optionally through write-behind staging.
 func writeRun(s Scale, fileSize, rec int64, delay sim.Time, behind bool) (sim.Time, int64, error) {
 	m := machine.Build(s.machineConfig())
+	defer m.Close()
 	if err := m.FS.Create("f", fileSize); err != nil {
 		return 0, 0, err
 	}
@@ -273,6 +275,7 @@ func ExtInterference(s Scale) (*stats.Table, error) {
 // the same I/O nodes. Returns the victim's bandwidth and hit rate.
 func interferenceRun(s Scale, withPrefetch, withAggressor bool) (float64, float64, error) {
 	m := machine.Build(s.machineConfig())
+	defer m.Close()
 	half := s.Compute / 2
 	if half == 0 {
 		half = 1

@@ -320,6 +320,11 @@ func (m *Machine) SetTrace(tl *trace.Log) {
 // Run executes the simulation to completion.
 func (m *Machine) Run() error { return m.K.Run() }
 
+// Close ends the processes still parked on the machine's kernel (see
+// sim.Kernel.Close). Call it once the last run is over; the machine's
+// counters stay readable.
+func (m *Machine) Close() { m.K.Close() }
+
 // Executed reports the events executed so far.
 func (m *Machine) Executed() uint64 { return m.K.Executed() }
 

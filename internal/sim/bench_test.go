@@ -13,9 +13,7 @@ func BenchmarkSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.At(k.Now(), fn)
 		if k.Pending() >= 1024 {
-			// RunUntil keeps the queue's storage; Run would drop it on
-			// return and the next batch would regrow it.
-			if err := k.RunUntil(k.Now()); err != nil {
+			if err := k.Run(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -122,7 +120,7 @@ func BenchmarkKernelChurn(b *testing.B) {
 }
 
 // BenchmarkProcSwitch measures a full block/wake round trip through the
-// goroutine hand-off.
+// coroutine hand-off. detgate -allocs pins it at 0 allocs/op.
 func BenchmarkProcSwitch(b *testing.B) {
 	k := NewKernel()
 	k.Go("sleeper", func(p *Proc) {
@@ -131,6 +129,25 @@ func BenchmarkProcSwitch(b *testing.B) {
 		}
 	})
 	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcSpawn measures a process's whole life: start, one
+// block/wake, finish. Short-lived processes (one per QoS arrival) pay
+// this per request.
+func BenchmarkProcSpawn(b *testing.B) {
+	k := NewKernel()
+	body := func(p *Proc) { p.Sleep(1) }
+	for i := 0; i < b.N; i++ {
+		k.Go("short", body)
+		if k.Pending() >= 64 {
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}

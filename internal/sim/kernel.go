@@ -37,19 +37,21 @@ type event struct {
 type Kernel struct {
 	now        Time
 	seq        uint64
-	q          ladderQueue   // pending events, popped in (time, seq) order (see ladder.go)
-	yield      chan struct{} // hand-off channel shared by all procs
-	live       int           // procs started and not yet finished
-	daemons    int           // live procs marked as daemons (service loops)
-	executed   uint64        // events run so far
-	failed     error         // first process panic, if any
-	free       []*event      // recycled event structs (see event)
-	maxPending int           // high-water mark of the pending-event count
+	q          ladderQueue  // pending events, popped in (time, seq) order (see ladder.go)
+	coros      []*coroutine // every coroutine created so far (Close stops them)
+	idle       []*coroutine // coroutines whose process has ended, ready for the next start
+	closed     bool         // Close has run
+	live       int          // procs started and not yet finished
+	daemons    int          // live procs marked as daemons (service loops)
+	executed   uint64       // events run so far
+	failed     error        // first process panic, if any
+	free       []*event     // recycled event structs (see event)
+	maxPending int          // high-water mark of the pending-event count
 }
 
 // NewKernel returns an empty kernel with the clock at zero.
 func NewKernel() *Kernel {
-	k := &Kernel{yield: make(chan struct{})}
+	k := &Kernel{}
 	k.q.reset()
 	return k
 }
@@ -166,17 +168,8 @@ func (k *Kernel) AfterCallErr(d Time, fn func(any, error), arg any, err error) {
 
 // Run executes events until none remain, then returns the first process
 // failure (panic) if any occurred. Processes still blocked when the event
-// queue drains are reported as a deadlock error. A drained queue also
-// drops its storage on return, never mid-run: a finished machine stays
-// reachable through its parked daemon procs, so storage kept here would
-// outlive the run. Events scheduled afterwards start a fresh queue epoch.
-func (k *Kernel) Run() error {
-	err := k.RunUntil(Time(1)<<62 - 1)
-	if k.q.n == 0 {
-		k.q.reset()
-	}
-	return err
-}
+// queue drains are reported as a deadlock error.
+func (k *Kernel) Run() error { return k.RunUntil(Time(1)<<62 - 1) }
 
 // RunUntil executes events with time ≤ deadline. The clock stops at the
 // last executed event (or the deadline if nothing ran past it). Unlike Run,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -97,16 +98,28 @@ func TestProcSleep(t *testing.T) {
 	}
 }
 
+// panicker is a named process body, so its frame is recognizable in the
+// failure's stack.
+func panicker(p *Proc) {
+	p.Sleep(Second)
+	panic("kaboom")
+}
+
+// TestProcPanicReported: a panicking process's error names the process
+// and carries the panicking function's own frame, not only the kernel's.
 func TestProcPanicReported(t *testing.T) {
 	k := NewKernel()
-	k.Go("boom", func(p *Proc) {
-		p.Sleep(Second)
-		panic("kaboom")
-	})
+	k.Go("boom", panicker)
 	err := k.Run()
 	if err == nil {
 		t.Fatal("Run returned nil for panicking process")
 	}
+	for _, want := range []string{`"boom"`, "kaboom", "sim.panicker"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("panic report lacks %q:\n%v", want, err)
+		}
+	}
+	k.Close()
 }
 
 func TestDeadlockDetected(t *testing.T) {
@@ -523,14 +536,11 @@ func TestEventPoolRecyclesAllocations(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Each cycle drains with RunUntil, not Run: Run also drops the
-	// drained queue's storage on return, and the next cycle would count
-	// the queue regrowing it rather than the event pool.
 	avg := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 32; i++ {
 			k.At(k.Now(), fn)
 		}
-		if err := k.RunUntil(k.Now()); err != nil {
+		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
 	})

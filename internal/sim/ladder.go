@@ -29,8 +29,7 @@ package sim
 //   - All storage (bucket arrays, bottom, top, sort scratch) is
 //     retained and reused across operations, so the steady state
 //     allocates nothing — gated by `detgate -allocs` via
-//     BenchmarkQueuePushPop. The storage is dropped only when a run
-//     returns with the queue empty (Kernel.Run).
+//     BenchmarkQueuePushPop. It lives as long as the kernel.
 //
 // Domain: event times in [0, 1<<62), the kernel's legal range (booking
 // in the past panics, Run's deadline is 1<<62 - 1). Within it the rung
@@ -106,10 +105,9 @@ type ladderQueue struct {
 	scratch []*event // reused merge-sort buffer
 }
 
-// reset returns the queue to its initial state and drops every bucket,
-// the top and bottom arrays and the sort scratch. It is only legal on an
-// empty queue; the next push starts a fresh epoch, as in pop's n == 0
-// recycle, but with nothing retained.
+// reset puts the queue in its initial state: empty, holding no storage,
+// with the top threshold below every event time so the first push lands
+// in top.
 func (q *ladderQueue) reset() { *q = ladderQueue{topStart: ladderMinTime} }
 
 // push inserts a booked event. Amortized O(1): almost every push is one

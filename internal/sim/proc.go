@@ -1,25 +1,54 @@
+// The constraint sets this file's language version for iter.Pull; go.mod stays at 1.22 (see Proc).
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
-// Proc is a simulated process: a goroutine that the kernel runs with
-// strict hand-off, so at most one process (or event callback) executes at
-// any real instant. Blocking methods (Sleep, Signal.Wait, Queue.Get, ...)
-// must only be called from the process's own goroutine.
+// Proc is a simulated process: code that the kernel runs on a coroutine
+// (iter.Pull) and resumes from event callbacks, so at most one process
+// (or event callback) executes at any real instant. Blocking methods
+// (Sleep, Signal.Wait, Queue.Get, ...) must only be called from the
+// process itself.
+//
+// A switch is a direct coroutine hand-off, not a round trip through a
+// channel pair between two goroutines. iter.Pull is the module's only
+// go1.23 API, so proc.go carries a go1.23 build constraint instead of a
+// go.mod bump: benchsuite's module says go 1.22 and requires this one,
+// and a go 1.23 directive here would make its build demand a go.mod
+// update.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
+	k    *Kernel
+	name string
+	fn   func(p *Proc)
+	co   *coroutine // the coroutine running the process; nil before it starts and after it ends
+	// daemon marks service loops: see GoDaemon.
 	daemon bool
 }
 
+// coroutine runs processes one after another. When its process ends it
+// parks in k.idle, and the next start event reuses it: a short-lived
+// process (one per QoS arrival) costs a switch in and out, not a new
+// coroutine. Every coroutine lives until Kernel.Close.
+type coroutine struct {
+	next  func() (struct{}, bool) // runs the process until it blocks or ends
+	stop  func()                  // ends the coroutine (Kernel.Close)
+	yield func(struct{}) bool     // suspends the process; false once stopped
+	p     *Proc                   // the process it runs; nil while idle
+}
+
+// errStopped is the sentinel panic that unwinds a process ended by
+// Kernel.Close.
+var errStopped = new(int)
+
 // Go creates a process named name and schedules it to start at the current
-// simulated time. fn runs on its own goroutine under kernel hand-off; when
-// fn returns the process ends. A panic in fn aborts the whole simulation
-// and is reported by Run.
+// simulated time. fn runs on a coroutine under kernel hand-off; when fn
+// returns the process ends. A panic in fn aborts the whole simulation and
+// is reported by Run.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	return k.start(name, false, fn)
 }
@@ -27,35 +56,98 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 // GoDaemon is Go for service loops that never return (device servers,
 // request threads). A simulation whose only remaining blocked processes
 // are daemons has simply gone quiet, not deadlocked, so Run does not
-// report it as an error.
+// report it as an error. Kernel.Close ends the parked daemons once the
+// run is over.
 func (k *Kernel) GoDaemon(name string, fn func(p *Proc)) *Proc {
 	return k.start(name, true, fn)
 }
 
+// start books the process's start event. The process gets its coroutine
+// only when that event runs: a machine that is built but never run holds
+// no coroutine at all.
 func (k *Kernel) start(name string, daemon bool, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), daemon: daemon}
+	p := &Proc{k: k, name: name, fn: fn, daemon: daemon}
 	k.live++
 	if daemon {
 		k.daemons++
 	}
-	k.After(0, func() {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil && k.failed == nil {
-					k.failed = fmt.Errorf("sim: process %q panicked at %v: %v\n%s",
-						p.name, k.now, r, debug.Stack())
-				}
-				k.live--
-				if p.daemon {
-					k.daemons--
-				}
-				k.yield <- struct{}{}
-			}()
-			fn(p)
-		}()
-		<-k.yield // run the process until it blocks or finishes
-	})
+	k.AfterCall(0, startProc, p)
 	return p
+}
+
+// startProc is the start event: put the process on an idle coroutine (or
+// a new one) and run it until it first blocks or finishes.
+func startProc(a any) {
+	p := a.(*Proc)
+	k := p.k
+	var c *coroutine
+	if n := len(k.idle); n > 0 {
+		c = k.idle[n-1]
+		k.idle = k.idle[:n-1]
+	} else {
+		c = &coroutine{}
+		c.next, c.stop = iter.Pull(c.loop)
+		k.coros = append(k.coros, c)
+	}
+	c.p, p.co = p, c
+	c.next()
+}
+
+// loop is the coroutine body: run the assigned process, go idle, and wait
+// for the next one.
+func (c *coroutine) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		p := c.p
+		p.run()
+		c.p, p.co = nil, nil
+		p.k.idle = append(p.k.idle, c)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run runs the process body to its end.
+func (p *Proc) run() {
+	defer p.exit()
+	p.fn(p)
+}
+
+// exit ends the process. The recover runs on the process's own stack, so
+// a panic's report carries the frames of the code that panicked rather
+// than iter.Pull's re-panic in the kernel goroutine. A process ended by
+// Close leaves the live/daemon census as it was: Fingerprint folds it.
+func (p *Proc) exit() {
+	r := recover()
+	k := p.k
+	if k.closed {
+		return
+	}
+	if r != nil && k.failed == nil {
+		k.failed = fmt.Errorf("sim: process %q panicked at %v: %v\n%s",
+			p.name, k.now, r, debug.Stack())
+	}
+	k.live--
+	if p.daemon {
+		k.daemons--
+	}
+}
+
+// Close ends every coroutine: the idle ones, and the processes still
+// parked — daemons idling at the end of a run, and the processes left
+// blocked by a deadlock or a panic — whose deferred functions run.
+// Without it a parked coroutine stays reachable, and with it everything
+// its machine holds. Close leaves the clock, the event counts and the
+// live/daemon census untouched, so Fingerprint reads the same before and
+// after. It must be called from outside the simulation, after the last
+// Run; the kernel must not run again. Calling it twice is a no-op.
+func (k *Kernel) Close() {
+	k.closed = true
+	for _, c := range k.coros {
+		c.stop()
+	}
+	k.coros, k.idle = nil, nil
 }
 
 // Name returns the process's name.
@@ -67,27 +159,20 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// block suspends the process, returning control to the kernel, until some
-// event calls wake.
+// block suspends the process, returning control to the kernel, until an
+// event runs wakeProc on it. If Close ends the process instead, block
+// unwinds it.
 func (p *Proc) block() {
-	p.k.yield <- struct{}{}
-	<-p.resume
-}
-
-// wake resumes a blocked process and waits for it to block again or
-// finish. It must be called from kernel context (an event callback).
-func (k *Kernel) wake(p *Proc) {
-	p.resume <- struct{}{}
-	<-k.yield
+	if !p.co.yield(struct{}{}) {
+		panic(errStopped)
+	}
 }
 
 // wakeProc is the shared pooled-args callback that resumes a blocked
-// process; scheduling it with AfterCall(d, wakeProc, p) is the
-// allocation-free form of After(d, func() { k.wake(p) }).
-func wakeProc(a any) {
-	p := a.(*Proc)
-	p.k.wake(p)
-}
+// process until it blocks again or finishes; scheduling it with
+// AfterCall(d, wakeProc, p) wakes p after d without allocating. It must
+// run in kernel context (an event callback).
+func wakeProc(a any) { a.(*Proc).co.next() }
 
 // Sleep suspends the process for d of simulated time.
 func (p *Proc) Sleep(d Time) {

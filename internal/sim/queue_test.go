@@ -163,78 +163,3 @@ func TestKernelMaxPending(t *testing.T) {
 		t.Fatalf("Pending after drain = %d", got)
 	}
 }
-
-// holdsStorage reports whether the queue retains any rung bucket, top,
-// bottom or sort-scratch array.
-func (q *ladderQueue) holdsStorage() bool {
-	if q.bottom != nil || q.top != nil || q.scratch != nil || q.nr != 0 {
-		return true
-	}
-	for _, r := range q.rungs {
-		if r.buckets != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// fill schedules n no-op events at pseudo-random times in
-// [now, now+span) on k. Bursts wider than ladderThresh make the ladder
-// spawn rungs and use its sort scratch.
-func fill(k *Kernel, r *xorshift, n int, span Time) {
-	for i := 0; i < n; i++ {
-		k.At(k.Now()+Time(r.next()%uint64(span)), func() {})
-	}
-}
-
-// checkOrderAfterRun books 300 events with heavy same-instant ties on k,
-// calls run, and asserts they all executed in (t, seq) order: time
-// never decreases, and same-instant events run in booking order.
-func checkOrderAfterRun(t *testing.T, k *Kernel, r *xorshift, run func() error) {
-	t.Helper()
-	type rec struct {
-		t  Time
-		id int
-	}
-	var out []rec
-	for i := 0; i < 300; i++ {
-		id := i
-		k.At(k.Now()+Time(r.next()%64)*1000, func() { out = append(out, rec{k.Now(), id}) })
-	}
-	if err := run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 300 {
-		t.Fatalf("ran %d of 300 events scheduled after Run", len(out))
-	}
-	for i := 1; i < len(out); i++ {
-		if a, b := out[i-1], out[i]; b.t < a.t || b.t == a.t && b.id < a.id {
-			t.Fatalf("execution %d: event %d (t=%v) ran after event %d (t=%v)", i, b.id, b.t, a.id, a.t)
-		}
-	}
-}
-
-// TestRunReleasesIdleQueue: once Kernel.Run drains the queue, the
-// ladder keeps no bucket, top, bottom or scratch storage, and events
-// scheduled afterwards still run in (t, seq) order from a fresh epoch.
-func TestRunReleasesIdleQueue(t *testing.T) {
-	k := NewKernel()
-	r := xorshift(0x5eed)
-	fill(k, &r, 500, 1_000_000)
-	if err := k.RunUntil(500_000); err != nil {
-		t.Fatal(err)
-	}
-	if k.q.nr == 0 {
-		t.Fatal("mid-run queue holds no rungs; the burst did not exercise the ladder")
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if k.q.holdsStorage() {
-		t.Fatal("queue storage retained after Run drained it")
-	}
-	checkOrderAfterRun(t, k, &r, k.Run)
-	if k.q.holdsStorage() {
-		t.Fatal("queue storage retained after the second Run")
-	}
-}

@@ -2,8 +2,8 @@
 //
 // The kernel advances a virtual clock by executing events in (time,
 // sequence) order. Model code can be written either as plain event
-// callbacks or as blocking processes (Proc): goroutines that the kernel
-// runs one at a time with strict hand-off, so simulations are fully
+// callbacks or as blocking processes (Proc): coroutines that the kernel
+// resumes one at a time with strict hand-off, so simulations are fully
 // deterministic and free of data races by construction.
 package sim
 

@@ -47,7 +47,8 @@ type Result struct {
 // parties compute nodes, targeting an interleaved distribution of
 // recordSize records (record j belongs to node j mod parties). It builds
 // the node processes itself and runs the machine's kernel until the
-// exchange completes.
+// exchange completes. The caller owns m and closes it (Machine.Close)
+// when done with it.
 func Read(m *machine.Machine, file string, recordSize int64, parties int, cfg Config) (*Result, error) {
 	size, err := m.FS.Size(file)
 	if err != nil {

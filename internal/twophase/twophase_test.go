@@ -16,6 +16,7 @@ func build(t *testing.T, fileSize int64) *machine.Machine {
 	cfg.IONodes = 4
 	cfg.UFS.Fragmentation = 0
 	m := machine.Build(cfg)
+	t.Cleanup(m.Close)
 	if err := m.FS.Create("f", fileSize); err != nil {
 		t.Fatal(err)
 	}

@@ -207,6 +207,7 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 	}
 	cfg.Fair.Tenants = spec.Tenants
 	m := machine.Build(cfg)
+	defer m.Close()
 	res := &Result{Machine: m, NodeTimes: make([]sim.Time, cfg.ComputeNodes)}
 	qr := &QoSResult{Tenants: make([]TenantStats, spec.Tenants), SLO: spec.SLO}
 	res.QoS = qr

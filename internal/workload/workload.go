@@ -219,6 +219,7 @@ func Run(cfg machine.Config, spec Spec) (*Result, error) {
 		cfg.PFS.FastPath = false
 	}
 	m := machine.Build(cfg)
+	defer m.Close()
 	res := &Result{Spec: spec, Machine: m, NodeTimes: make([]sim.Time, cfg.ComputeNodes)}
 
 	group := stripeGroup(cfg, spec)
