@@ -18,12 +18,15 @@ func PatternRNG(s Spec, rank int) *rand.Rand {
 	return rand.New(rand.NewSource(s.Seed + int64(rank)*1099511628211))
 }
 
-// Fingerprint digests everything a run measured — timing, byte counts,
-// per-node delivery digests, latency samples, stripe and prefetch
-// counters, and the kernel's terminal state — into one 64-bit value. Two
-// runs of the same Spec on the same machine config must fingerprint
-// equal; this is the determinism oracle's whole-run comparison. (The
-// trace log has its own Digest covering event-by-event history.)
+// Fingerprint digests everything the simulated machine did — timing,
+// byte counts, per-node delivery digests, latency samples, stripe,
+// fault and prefetch counters, and the QoS ledger — into one 64-bit
+// value. It is the model half of a run's digest: how the kernel booked
+// the run (Result.Engine) is left out, so a change that simulates the
+// same behaviour with fewer events keeps it. Two runs of the same Spec
+// on the same machine config must fingerprint equal; this is the
+// determinism oracle's whole-run comparison. (The trace log has its own
+// Digest covering event-by-event history.)
 func (r *Result) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -77,7 +80,6 @@ func (r *Result) Fingerprint() uint64 {
 			put(uint64(a.RebuildBytes))
 			put(uint64(a.RebuildDoneAt))
 		}
-		put(r.Machine.K.Fingerprint())
 	}
 	if p := r.Prefetch; p != nil {
 		for _, v := range []int64{p.Issued, p.Hits, p.HitsInWait, p.Misses,

@@ -312,6 +312,7 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 	if err := m.Run(); err != nil {
 		return nil, err
 	}
+	res.Engine = m.K.Stats()
 
 	res.DeliveryDigests = make([]uint64, spec.Tenants)
 	res.NodeUnavailableBytes = make([]int64, cfg.ComputeNodes)

@@ -138,6 +138,13 @@ type Result struct {
 	// QoS is the open-loop multi-tenant ledger (RunQoS only, nil
 	// elsewhere). When present it is folded into the fingerprint.
 	QoS *QoSResult
+
+	// Engine is the kernel's census at the end of the run: how many
+	// events and processes it took to simulate the model. It is
+	// observational — Fingerprint does not fold it, so booking fewer
+	// events for the same behaviour moves no golden — but two runs of
+	// one build must still agree on it (simcheck's determinism oracle).
+	Engine sim.Stats
 }
 
 // FaultCounters aggregates the fault-path counters of the PFS client, the
@@ -329,6 +336,7 @@ func Run(cfg machine.Config, spec Spec) (*Result, error) {
 	if err := m.Run(); err != nil {
 		return nil, err
 	}
+	res.Engine = m.K.Stats()
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("workload: node %d: %w", i, err)
