@@ -15,7 +15,8 @@
 // Allocation: with -allocs it shells out to `go test -bench` and asserts
 // that the zero-allocation hot paths — the DES kernel's event dispatch
 // and process switch, the mesh micro, the event queue's hold-model bench
-// at depths 1k and 100k, plus the pfs client steady-state read and
+// at depths 1k and 100k, the disk's callback server, plus the pfs client
+// steady-state read, the pfs asynchronous read through the ART, and the
 // ionode service paths — still report 0 allocs/op.
 package main
 
@@ -108,7 +109,8 @@ var allocGatePackages = []struct {
 }{
 	{"./internal/sim/", "BenchmarkEventThroughput$|BenchmarkProcSwitch$|BenchmarkQueuePushPop/depth=(1k|100k)$"},
 	{"./internal/mesh/", "BenchmarkSend$"},
-	{"./internal/pfs/", "BenchmarkClientSteadyRead$"},
+	{"./internal/disk/", "BenchmarkDiskServe$"},
+	{"./internal/pfs/", "BenchmarkClientSteadyRead$|BenchmarkAsyncRead$"},
 	{"./internal/ionode/", "BenchmarkServicePath$"},
 }
 
@@ -121,7 +123,9 @@ var zeroAllocBenches = map[string]bool{
 	"BenchmarkQueuePushPop/depth=1k":   true, // event queue hold model, shallow
 	"BenchmarkQueuePushPop/depth=100k": true, // event queue hold model, deep
 	"BenchmarkSend":                    true, // mesh message delivery
+	"BenchmarkDiskServe":               true, // disk callback server, pooled OnDone requests
 	"BenchmarkClientSteadyRead":        true, // pfs client steady-state read path
+	"BenchmarkAsyncRead":               true, // pfs asynchronous read through the ART
 	"BenchmarkServicePath":             true, // ionode request service path
 }
 

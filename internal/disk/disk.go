@@ -1,8 +1,9 @@
 // Package disk models mid-1990s SCSI disks and the RAID-3 arrays that sat
 // behind each Intel Paragon I/O node.
 //
-// A Disk owns a FIFO- or SCAN-scheduled request queue served by one
-// simulated process. Service time for a request is
+// A Disk owns a FIFO- or SCAN-scheduled request queue served by two
+// pooled event callbacks (start and finish), not by a simulated process.
+// Service time for a request is
 //
 //	controller overhead + seek(distance) + rotational latency + transfer
 //
@@ -195,13 +196,13 @@ type Disk struct {
 	permBad   map[int64]bool // sectors gone for good
 
 	queue   []*Request
-	server  *sim.Proc
-	idle    bool
-	dead    bool // drive failed for good: every request errors instantly
-	wake    *sim.Queue[struct{}]
-	cur     int64 // current cylinder
-	nextLBA int64 // sector following the last transfer, -1 initially
-	dir     int64 // SCAN sweep direction: +1 or -1
+	serving *Request // request in service; nil while the drive is idle
+	booked  bool     // a diskStart is booked and has not run yet
+	idleGap bool     // the drive idled since its last transfer (see serviceTime)
+	dead    bool     // drive failed for good: every request errors instantly
+	cur     int64    // current cylinder
+	nextLBA int64    // sector following the last transfer, -1 initially
+	dir     int64    // SCAN sweep direction: +1 or -1
 
 	// Measurements.
 	Requests        int64
@@ -214,7 +215,8 @@ type Disk struct {
 	QueueLen        stats.Histogram // queue length observed at arrival
 }
 
-// New creates a disk on kernel k and starts its service process.
+// New creates an idle disk on kernel k. It books no event until the
+// first Submit.
 func New(k *sim.Kernel, name string, geo Geometry, sched Sched) *Disk {
 	if geo.SectorSize <= 0 || geo.SectorsPerTrack <= 0 || geo.Heads <= 0 ||
 		geo.Cylinders <= 1 || geo.RPM <= 0 {
@@ -225,11 +227,10 @@ func New(k *sim.Kernel, name string, geo Geometry, sched Sched) *Disk {
 		name:    name,
 		geo:     geo,
 		sched:   sched,
-		wake:    sim.NewQueue[struct{}](k),
+		idleGap: true, // spin-up counts as a gap
 		nextLBA: -1,
 		dir:     1,
 	}
-	d.server = k.GoDaemon("disk/"+name, d.serve)
 	return d
 }
 
@@ -376,8 +377,19 @@ func (d *Disk) Dead() bool { return d.dead }
 
 // Submit enqueues a request; req.Done fires when it completes. A request
 // extending past the end of the disk panics: the layer above sized the
-// volume wrong.
+// volume wrong. A request reaching an idle drive books one zero-delay
+// diskStart; one reaching a busy drive, or an idle one whose start is
+// already booked, books nothing.
 func (d *Disk) Submit(req *Request) {
+	if d.enqueue(req) && d.serving == nil && !d.booked {
+		d.booked = true
+		d.k.AfterCall(0, diskStart, d)
+	}
+}
+
+// enqueue validates req and appends it to the queue. It reports false
+// when the drive is dead and req has already been failed.
+func (d *Disk) enqueue(req *Request) bool {
 	if req.Sector < 0 || req.Count <= 0 ||
 		(req.Sector+req.Count)*d.geo.SectorSize > d.geo.Capacity() {
 		panic(fmt.Sprintf("disk: request [%d,+%d) outside disk", req.Sector, req.Count))
@@ -389,12 +401,12 @@ func (d *Disk) Submit(req *Request) {
 		d.Errors++
 		d.PermanentErrors++
 		d.complete(req, &Error{Disk: d.name, Sector: req.Sector})
-		return
+		return false
 	}
 	req.cylinder = req.Sector / (d.geo.SectorsPerTrack * d.geo.Heads)
 	d.QueueLen.Observe(float64(len(d.queue)))
 	d.queue = append(d.queue, req)
-	d.wake.Put(struct{}{})
+	return true
 }
 
 // Read is a convenience wrapper: submit a read of count sectors at sector
@@ -412,38 +424,48 @@ func (d *Disk) Write(sector, count int64) *sim.Signal {
 	return req.Done
 }
 
-// serve is the drive's service loop. A request that arrives while the
-// drive is idle pays rotational latency even when logically sequential:
-// by the time the command reaches the drive the target sector has passed
-// under the head (these drives had no read-ahead track buffer). Requests
-// served back-to-back from a non-empty queue keep streaming.
-func (d *Disk) serve(p *sim.Proc) {
-	idleGap := true // spin-up counts as a gap
-	for {
-		if len(d.queue) == 0 {
-			idleGap = true
-			for len(d.queue) == 0 {
-				d.wake.Get(p)
-			}
-		}
-		// Drain stale wake tokens so the emptiness check stays accurate.
-		for {
-			if _, ok := d.wake.TryGet(); !ok {
-				break
-			}
-		}
-		req := d.pick()
-		d.Busy.Begin(p.Now())
-		t := d.serviceTime(req, idleGap)
-		p.Sleep(t + d.faultJitter(t))
-		d.Busy.End(p.Now())
-		idleGap = false
-		d.Requests++
-		d.Sectors += req.Count
-		d.cur = (req.Sector + req.Count - 1) / (d.geo.SectorsPerTrack * d.geo.Heads)
-		d.nextLBA = req.Sector + req.Count
-		d.complete(req, d.injectFault(req))
+// diskStart wakes an idle drive. A request that arrives while the drive
+// is idle pays rotational latency even when logically sequential: by the
+// time the command reaches the drive the target sector has passed under
+// the head (these drives had no read-ahead track buffer). Requests served
+// back-to-back from a non-empty queue keep streaming.
+func diskStart(a any) {
+	d := a.(*Disk)
+	d.booked = false
+	if len(d.queue) == 0 {
+		return // Kill failed everything that was queued
 	}
+	d.begin()
+}
+
+// begin picks the next request and books its completion after the
+// service time.
+func (d *Disk) begin() {
+	req := d.pick()
+	d.serving = req
+	d.Busy.Begin(d.k.Now())
+	t := d.serviceTime(req, d.idleGap)
+	d.k.AfterCall(t+d.faultJitter(t), diskFinish, d)
+}
+
+// diskFinish ends the transfer in service, reports it, and starts the
+// next queued request at once or lets the drive go idle.
+func diskFinish(a any) {
+	d := a.(*Disk)
+	req := d.serving
+	d.serving = nil
+	d.Busy.End(d.k.Now())
+	d.idleGap = false
+	d.Requests++
+	d.Sectors += req.Count
+	d.cur = (req.Sector + req.Count - 1) / (d.geo.SectorsPerTrack * d.geo.Heads)
+	d.nextLBA = req.Sector + req.Count
+	d.complete(req, d.injectFault(req))
+	if len(d.queue) > 0 {
+		d.begin()
+		return
+	}
+	d.idleGap = true
 }
 
 // pick removes and returns the next request per the scheduling policy.

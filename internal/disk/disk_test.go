@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func testGeo() Geometry {
@@ -282,4 +283,203 @@ func TestArrayBadRequestPanics(t *testing.T) {
 		}()
 		a.Read(a.Capacity()-10, 100)
 	}()
+}
+
+// refDisk serves a Disk with the drive's former service loop: one
+// process blocked on a wake queue. It is the reference the callback
+// server (diskStart/diskFinish) is differentially tested against.
+type refDisk struct {
+	*Disk
+	wake *sim.Queue[struct{}]
+}
+
+func newRefDisk(k *sim.Kernel, geo Geometry, sched Sched) *refDisk {
+	r := &refDisk{Disk: New(k, "ref", geo, sched), wake: sim.NewQueue[struct{}](k)}
+	k.Go("disk/ref", r.serve)
+	return r
+}
+
+// submit is Submit with the loop's wake-up instead of a booked diskStart.
+func (r *refDisk) submit(req *Request) {
+	if r.enqueue(req) {
+		r.wake.Put(struct{}{})
+	}
+}
+
+// serve is the former service loop, unchanged.
+func (r *refDisk) serve(p *sim.Proc) {
+	d := r.Disk
+	idleGap := true // spin-up counts as a gap
+	for {
+		if len(d.queue) == 0 {
+			idleGap = true
+			for len(d.queue) == 0 {
+				r.wake.Get(p)
+			}
+		}
+		// Drain stale wake tokens so the emptiness check stays accurate.
+		for {
+			if _, ok := r.wake.TryGet(); !ok {
+				break
+			}
+		}
+		req := d.pick()
+		d.Busy.Begin(p.Now())
+		t := d.serviceTime(req, idleGap)
+		p.Sleep(t + d.faultJitter(t))
+		d.Busy.End(p.Now())
+		idleGap = false
+		d.Requests++
+		d.Sectors += req.Count
+		d.cur = (req.Sector + req.Count - 1) / (d.geo.SectorsPerTrack * d.geo.Heads)
+		d.nextLBA = req.Sector + req.Count
+		d.complete(req, d.injectFault(req))
+	}
+}
+
+// diskOp is one submission of a differential schedule.
+type diskOp struct {
+	at            sim.Time
+	sector, count int64
+	write         bool
+	signal        bool // report through a Done signal rather than OnDone
+}
+
+// diffSchedule draws a seeded submission schedule: idle gaps long
+// enough for the drive to go quiet, bursts submitted at one instant,
+// sequential continuations, and a Kill one microsecond after a burst,
+// while the burst's first request is in service.
+func diffSchedule(seed int64, g Geometry) (ops []diskOp, kill sim.Time) {
+	rng := rand.New(rand.NewSource(seed))
+	max := g.Capacity()/g.SectorSize - 64
+	var now sim.Time
+	for len(ops) < 120 {
+		if rng.Intn(2) == 0 {
+			now += sim.Time(rng.Int63n(int64(200 * sim.Millisecond)))
+		} else {
+			now += sim.Time(rng.Int63n(int64(3 * sim.Millisecond)))
+		}
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			op := diskOp{at: now, sector: rng.Int63n(max), count: 1 + rng.Int63n(63),
+				write: rng.Intn(4) == 0, signal: rng.Intn(2) == 0}
+			if l := len(ops); l > 0 && rng.Intn(3) == 0 && ops[l-1].sector+ops[l-1].count+op.count <= max {
+				op.sector = ops[l-1].sector + ops[l-1].count
+			}
+			ops = append(ops, op)
+		}
+		if kill == 0 && len(ops) >= 90 {
+			kill = now + sim.Microsecond
+		}
+	}
+	return ops, kill
+}
+
+// diskOutcome is one request's completion as its submitter saw it.
+type diskOutcome struct {
+	op  int
+	at  sim.Time
+	err string
+}
+
+// diskCounters is a drive's measurements at the end of a run.
+type diskCounters struct {
+	requests, sectors, errs, trans, perm int64
+	busy                                 stats.Utilization
+	seek, qlen                           uint64
+}
+
+// diskRun is everything a differential run observed.
+type diskRun struct {
+	done []diskOutcome
+	diskCounters
+}
+
+// runDiffSchedule drives one drive — the callback server, or the
+// reference loop when ref is set — through the schedule.
+func runDiffSchedule(t *testing.T, ref bool, sched Sched, fp FaultProfile, ops []diskOp, kill sim.Time) diskRun {
+	t.Helper()
+	k := sim.NewKernel()
+	g := testGeo()
+	var d *Disk
+	submit := func(req *Request) { d.Submit(req) }
+	if ref {
+		r := newRefDisk(k, g, sched)
+		d, submit = r.Disk, r.submit
+	} else {
+		d = New(k, "ref", g, sched)
+	}
+	d.InjectFaultProfile(fp)
+	var out diskRun
+	for i, op := range ops {
+		i := i
+		record := func(_ any, err error) {
+			o := diskOutcome{op: i, at: k.Now()}
+			if err != nil {
+				o.err = err.Error()
+			}
+			out.done = append(out.done, o)
+		}
+		req := &Request{Sector: op.sector, Count: op.count, Write: op.write}
+		if op.signal {
+			req.Done = sim.NewSignal(k)
+			req.Done.OnFireCall(record, nil)
+		} else {
+			req.OnDone = record
+		}
+		k.At(op.at, func() { submit(req) })
+	}
+	k.At(kill, func() {
+		if !ref && d.serving == nil {
+			t.Errorf("the drive was idle at the Kill")
+		}
+		d.Kill()
+	})
+	// The reference loop never ends, so bound the run instead of
+	// draining it.
+	if err := k.RunUntil(3600 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	k.Close()
+	out.requests, out.sectors, out.errs = d.Requests, d.Sectors, d.Errors
+	out.trans, out.perm, out.busy = d.TransientErrors, d.PermanentErrors, d.Busy
+	out.seek, out.qlen = d.SeekDist.Fingerprint(), d.QueueLen.Fingerprint()
+	return out
+}
+
+// TestCallbackServerMatchesServiceLoop: on seeded schedules under every
+// scheduling policy, with fault jitter and a Kill during service, the
+// callback server completes every request at the same instant, in the
+// same order and with the same error as the former service loop, and
+// leaves the same counters.
+func TestCallbackServerMatchesServiceLoop(t *testing.T) {
+	g := testGeo()
+	for _, sched := range []Sched{FIFO, SCAN, CSCAN, SSTF} {
+		var faults, transient int64
+		for seed := int64(1); seed <= 8; seed++ {
+			ops, kill := diffSchedule(seed, g)
+			fp := FaultProfile{Rate: 0.1, TransientFrac: 0.5, PermanentFrac: 0.2, Jitter: 0.5, Seed: seed}
+			want := runDiffSchedule(t, true, sched, fp, ops, kill)
+			got := runDiffSchedule(t, false, sched, fp, ops, kill)
+			if len(want.done) != len(ops) {
+				t.Fatalf("%v seed %d: the reference completed %d of %d requests", sched, seed, len(want.done), len(ops))
+			}
+			faults += want.errs
+			transient += want.trans
+			for i := range want.done {
+				if i >= len(got.done) || got.done[i] != want.done[i] {
+					var g diskOutcome
+					if i < len(got.done) {
+						g = got.done[i]
+					}
+					t.Fatalf("%v seed %d: completion %d is %+v, the service loop's is %+v", sched, seed, i, g, want.done[i])
+				}
+			}
+			if got.diskCounters != want.diskCounters {
+				t.Fatalf("%v seed %d: counters %+v, the service loop's %+v", sched, seed, got.diskCounters, want.diskCounters)
+			}
+		}
+		if transient == 0 || faults == transient {
+			t.Fatalf("%v: the schedules drew %d faults, %d of them transient; both kinds are needed", sched, faults, transient)
+		}
+	}
 }

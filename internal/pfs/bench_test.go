@@ -51,6 +51,76 @@ func BenchmarkClientSteadyRead(b *testing.B) {
 	run(b.N)
 }
 
+// asyncChains keeps two pooled asynchronous reads queued on one file's
+// ART: each completion re-issues its request until total reads are done.
+type asyncChains struct {
+	f             *File
+	links         [2]asyncLink
+	issued, total int
+	err           error
+}
+
+// asyncLink is one chain's reused request.
+type asyncLink struct {
+	req *Async
+	c   *asyncChains
+}
+
+func (l *asyncLink) issue() {
+	c := l.c
+	off := int64(c.issued%16) * 64 << 10
+	c.issued++
+	l.req = c.f.IReadAtReusing(l.req, off, 64<<10)
+	l.req.Done.OnFireCall(asyncChainDone, l)
+}
+
+func asyncChainDone(a any, err error) {
+	l := a.(*asyncLink)
+	if err != nil && l.c.err == nil {
+		l.c.err = err
+	}
+	if l.c.issued < l.c.total {
+		l.issue()
+	}
+}
+
+// BenchmarkAsyncRead pins the asynchronous read path — IReadAtReusing,
+// the ART's start/post/done callbacks, the stripe fan-out and the
+// completion — at 0 allocs/op. Two requests stay queued, so the ART both
+// wakes from idle and posts straight from a completion. One warm-up pass
+// fills the pools and sample storage. detgate runs this with
+// -benchtime=100x as part of the allocation gate.
+func BenchmarkAsyncRead(b *testing.B) {
+	r := newRig(b, 1, 4)
+	if err := r.fsys.Create("bench", 1<<20); err != nil {
+		b.Fatal(err)
+	}
+	f, err := r.fsys.Open("bench", 0, MAsync, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := &asyncChains{f: f}
+	run := func(reads int) {
+		c.issued, c.total = 0, reads
+		for i := range c.links {
+			c.links[i].c = c
+			if c.issued < c.total {
+				c.links[i].issue()
+			}
+		}
+		if err := r.k.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if c.err != nil {
+			b.Fatal(c.err)
+		}
+	}
+	run(512) // warm the pools and sample storage
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}
+
 // BenchmarkCollectiveRead measures an end-to-end M_RECORD whole-file scan
 // on a small machine: the cost of simulating one evaluation data point.
 func BenchmarkCollectiveRead(b *testing.B) {

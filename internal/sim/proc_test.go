@@ -2,19 +2,21 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 )
 
 // TestCloseEndsParkedProcs: once a run is over, Close ends every parked
-// process — a daemon, a process left blocked by a deadlock — running its
-// deferred functions, and the goroutine count returns to what it was
-// before the kernel existed. A second Close is a no-op.
+// process — a service loop waiting for work, a process left blocked by a
+// deadlock — running its deferred functions, and the goroutine count
+// returns to what it was before the kernel existed. A second Close is a
+// no-op.
 func TestCloseEndsParkedProcs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel()
 	q := NewQueue[int](k)
 	deferred := 0
-	k.GoDaemon("server", func(p *Proc) {
+	k.Go("server", func(p *Proc) {
 		defer func() { deferred++ }()
 		for {
 			q.Get(p)
@@ -29,7 +31,7 @@ func TestCloseEndsParkedProcs(t *testing.T) {
 		p.Sleep(Millisecond)
 	})
 	if err := k.Run(); err == nil {
-		t.Fatal("blocked non-daemon not reported as deadlock")
+		t.Fatal("blocked processes not reported as deadlock")
 	}
 	parked := runtime.NumGoroutine()
 	if parked < before+2 {
@@ -49,12 +51,13 @@ func TestCloseEndsParkedProcs(t *testing.T) {
 }
 
 // TestCloseKeepsFingerprint: Close touches neither the clock, the event
-// counts nor the live/daemon census, so the kernel's terminal
-// fingerprint reads the same before and after.
+// counts nor the live count, so the kernel's terminal fingerprint reads
+// the same before and after — here with a service loop left parked by a
+// RunUntil deadline.
 func TestCloseKeepsFingerprint(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int](k)
-	k.GoDaemon("server", func(p *Proc) {
+	k.Go("server", func(p *Proc) {
 		for {
 			q.Get(p)
 			p.Sleep(Millisecond)
@@ -66,15 +69,54 @@ func TestCloseKeepsFingerprint(t *testing.T) {
 			p.Sleep(Millisecond)
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := k.RunUntil(Second); err != nil {
 		t.Fatal(err)
 	}
-	fp, live, daemons := k.Fingerprint(), k.Live(), k.Daemons()
-	k.Close()
-	if k.Fingerprint() != fp || k.Live() != live || k.Daemons() != daemons {
-		t.Fatalf("Close moved the kernel: fingerprint %016x -> %016x, live %d -> %d, daemons %d -> %d",
-			fp, k.Fingerprint(), live, k.Live(), daemons, k.Daemons())
+	fp, live := k.Fingerprint(), k.Live()
+	if live != 1 {
+		t.Fatalf("%d processes live after the client ended, want the parked server", live)
 	}
+	k.Close()
+	if k.Fingerprint() != fp || k.Live() != live {
+		t.Fatalf("Close moved the kernel: fingerprint %016x -> %016x, live %d -> %d",
+			fp, k.Fingerprint(), live, k.Live())
+	}
+}
+
+// TestWorkerBlockedIsStillDeadlock: a process blocked with no event left
+// to wake it is a deadlock, even next to processes that ended cleanly.
+func TestWorkerBlockedIsStillDeadlock(t *testing.T) {
+	k := NewKernel()
+	q := NewQueue[int](k)
+	k.Go("server", func(p *Proc) { q.Get(p) })
+	k.Go("client", func(p *Proc) { q.Put(1) })
+	other := NewQueue[int](k)
+	k.Go("stuck-worker", func(p *Proc) {
+		other.Get(p) // nobody ever puts
+	})
+	if err := k.Run(); err == nil {
+		t.Fatal("blocked worker not reported as deadlock")
+	}
+}
+
+// TestServiceLoopPanicReported: a service loop that panics mid-request
+// aborts the run, and Run returns the panic rather than a deadlock.
+func TestServiceLoopPanicReported(t *testing.T) {
+	k := NewKernel()
+	q := NewQueue[int](k)
+	k.Go("bad", func(p *Proc) {
+		for {
+			q.Get(p)
+			p.Sleep(Second)
+			panic("service loop crashed")
+		}
+	})
+	k.Go("client", func(p *Proc) { q.Put(1) })
+	err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), "service loop crashed") {
+		t.Fatalf("service loop panic not reported: %v", err)
+	}
+	k.Close()
 }
 
 // TestEndedProcCoroutineIsReused: a process that starts after another

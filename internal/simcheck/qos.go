@@ -164,8 +164,8 @@ func checkQoSLedger(seed int64, sc Scenario, r run, fifo bool) []Failure {
 	if q.Arrivals == 0 {
 		fail("no arrivals were spawned")
 	}
-	if k := res.Machine.K; k.Live() != k.Daemons() {
-		fail("%d non-daemon process(es) still live after run", k.Live()-k.Daemons())
+	if live := res.Machine.K.Live(); live != 0 {
+		fail("%d process(es) still live after run", live)
 	}
 	if r.tl.Dropped() > 0 {
 		fail("trace log dropped %d events", r.tl.Dropped())

@@ -14,7 +14,7 @@
 //   - conservation: bytes delivered = bytes read over the fast path =
 //     bytes leaving the I/O nodes, and the prefetcher's hit/wait/miss
 //     counters sum to the read count;
-//   - sanity: positive elapsed time, no residual non-daemon processes,
+//   - sanity: positive elapsed time, no residual live processes,
 //     monotone elapsed time in the compute delay.
 //
 // Any failure carries its seed; `go run ./cmd/simcheck -seed N -v`

@@ -9,8 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-// checkNoGoroutineLeft runs run and requires that it started daemons
-// (disk servers, asynchronous request threads) and that none of them
+// checkNoGoroutineLeft runs run and requires that it started processes,
+// whose coroutines the kernel pools, and that none of those coroutines
 // outlives it: Run and RunQoS close their machine on return.
 func checkNoGoroutineLeft(t *testing.T, run func() (*Result, error)) {
 	t.Helper()
@@ -19,8 +19,8 @@ func checkNoGoroutineLeft(t *testing.T, run func() (*Result, error)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Machine.K.Daemons() == 0 {
-		t.Fatal("the run started no daemon, so it proves nothing")
+	if res.Engine.Started == 0 {
+		t.Fatal("the run started no process, so it proves nothing")
 	}
 	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("%d goroutines after the run, %d before", g, before)
