@@ -15,9 +15,10 @@
 // Allocation: with -allocs it shells out to `go test -bench` and asserts
 // that the zero-allocation hot paths — the DES kernel's event dispatch
 // and process switch, the mesh micro, the event queue's hold-model bench
-// at depths 1k and 100k, the disk's callback server, plus the pfs client
-// steady-state read, the pfs asynchronous read through the ART, and the
-// ionode service paths — still report 0 allocs/op.
+// at depths 1k and 100k, the disk's callback server, a healthy array's
+// lockstep read, plus the pfs client steady-state read, the pfs
+// asynchronous read through the ART, and the ionode service paths —
+// still report 0 allocs/op.
 package main
 
 import (
@@ -109,7 +110,7 @@ var allocGatePackages = []struct {
 }{
 	{"./internal/sim/", "BenchmarkEventThroughput$|BenchmarkProcSwitch$|BenchmarkQueuePushPop/depth=(1k|100k)$"},
 	{"./internal/mesh/", "BenchmarkSend$"},
-	{"./internal/disk/", "BenchmarkDiskServe$"},
+	{"./internal/disk/", "BenchmarkDiskServe$|BenchmarkArrayRead$"},
 	{"./internal/pfs/", "BenchmarkClientSteadyRead$|BenchmarkAsyncRead$"},
 	{"./internal/ionode/", "BenchmarkServicePath$"},
 }
@@ -124,6 +125,7 @@ var zeroAllocBenches = map[string]bool{
 	"BenchmarkQueuePushPop/depth=100k": true, // event queue hold model, deep
 	"BenchmarkSend":                    true, // mesh message delivery
 	"BenchmarkDiskServe":               true, // disk callback server, pooled OnDone requests
+	"BenchmarkArrayRead":               true, // healthy array's lockstep ReadCall path
 	"BenchmarkClientSteadyRead":        true, // pfs client steady-state read path
 	"BenchmarkAsyncRead":               true, // pfs asynchronous read through the ART
 	"BenchmarkServicePath":             true, // ionode request service path

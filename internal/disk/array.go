@@ -38,6 +38,13 @@ type RebuildPolicy struct {
 // member's contents onto a hot spare in the background, competing with
 // foreground traffic under a RebuildPolicy throttle, and promotes the
 // spare when the copy completes.
+//
+// While an array of two or more members is healthy and nothing outside it
+// has touched its members, it runs in lockstep: every member would get
+// the same requests in the same order and keep the same queue, head and
+// counters, so each request is served on the lead (member 0) alone. The
+// first divergence — Members, FailMember, StartRebuild or the signal-form
+// Read/Write — ends lockstep for good (see unlock).
 type Array struct {
 	k        *sim.Kernel
 	name     string
@@ -52,6 +59,7 @@ type Array struct {
 	reconBW    float64 // parity reconstruction bandwidth, bytes/s
 	highSector int64   // highest member sector ever touched; rebuild bound
 	rebuilding bool
+	lock       bool // lockstep: only the lead is driven (see unlock)
 
 	tr     *trace.Log
 	trNode int
@@ -84,6 +92,7 @@ func NewArray(k *sim.Kernel, name string, n int, geo Geometry, sched Sched, over
 		failed:   -1,
 		parity:   true,
 		reconBW:  DefaultReconstructBW,
+		lock:     n > 1,
 	}
 	for i := 0; i < n; i++ {
 		a.members = append(a.members, New(k, fmt.Sprintf("%s.%d", name, i), geo, sched))
@@ -92,8 +101,55 @@ func NewArray(k *sim.Kernel, name string, n int, geo Geometry, sched Sched, over
 }
 
 // Members returns the array's member disks (for inspection in tests and
-// stats reporting).
-func (a *Array) Members() []*Disk { return a.members }
+// stats reporting). It ends lockstep, so the caller sees, and may drive,
+// every member's real state.
+func (a *Array) Members() []*Disk {
+	a.unlock()
+	return a.members
+}
+
+// Width reports the number of data members.
+func (a *Array) Width() int { return len(a.members) }
+
+// unlock ends lockstep. Each follower takes the lead's head state and
+// counters and its own copy of every request queued or in service on the
+// lead, and the lead's booked diskStart or diskFinish carries the
+// followers' start or finish. From here on every member is driven on its
+// own, event for event as if it had been all along.
+func (a *Array) unlock() {
+	if !a.lock {
+		return
+	}
+	a.lock = false
+	lead := a.members[0]
+	for i, f := range a.members {
+		if i == 0 {
+			continue
+		}
+		f.cur, f.nextLBA, f.dir, f.idleGap, f.booked = lead.cur, lead.nextLBA, lead.dir, lead.idleGap, lead.booked
+		f.Requests, f.Sectors, f.Busy = lead.Requests, lead.Sectors, lead.Busy
+		f.SeekDist, f.QueueLen = lead.SeekDist.Clone(), lead.QueueLen.Clone()
+		if lead.serving != nil {
+			f.serving = follow(lead.serving, i)
+		}
+		for _, req := range lead.queue {
+			f.queue = append(f.queue, follow(req, i))
+		}
+	}
+	if lead.booked || lead.serving != nil {
+		lead.carry = a.members[1:]
+	}
+}
+
+// follow returns member i's copy of the lead's request req and counts it
+// on req's op. In lockstep every lead request is an arrayOp's reqs[0].
+func follow(req *Request, i int) *Request {
+	op := req.DoneArg.(*arrayOp)
+	c := &op.reqs[i]
+	*c = *req
+	op.remaining++
+	return c
+}
 
 // SetParity enables or disables degraded operation. With parity off a
 // member failure is fatal to every request touching the array — the
@@ -135,6 +191,7 @@ func (a *Array) FailMember(i int) {
 	if a.failed >= 0 {
 		panic(fmt.Sprintf("disk: array %s already degraded (member %d down)", a.name, a.failed))
 	}
+	a.unlock()
 	a.failed = i
 	a.MemberFails++
 	a.members[i].Kill()
@@ -159,6 +216,7 @@ func (a *Array) do(off, n int64, write bool) *sim.Signal {
 	if off < 0 || n <= 0 || off+n > a.Capacity() {
 		panic(fmt.Sprintf("disk: array request [%d,+%d) outside %d-byte array", off, n, a.Capacity()))
 	}
+	a.unlock()
 	a.Requests++
 	a.Bytes += n
 
@@ -248,7 +306,9 @@ type arrayOp struct {
 }
 
 // issueArrayOp is the controller-overhead event of a callback-form array
-// request: it fans the op out to the member disks.
+// request: it fans the op out to the member disks, or in lockstep submits
+// it to the lead alone. The member count is set here, not in doCall, so
+// that an unlock between the two still fans out against a matching count.
 func issueArrayOp(v any) {
 	op := v.(*arrayOp)
 	a := op.a
@@ -256,7 +316,15 @@ func issueArrayOp(v any) {
 		op.reqs = make([]Request, len(a.members))
 	}
 	op.reqs = op.reqs[:len(a.members)]
-	for i, d := range a.members {
+	members := a.members
+	if a.lock {
+		members = members[:1]
+	}
+	op.remaining = len(members)
+	if op.skip >= 0 {
+		op.remaining--
+	}
+	for i, d := range members {
 		if i == op.skip {
 			continue
 		}
@@ -267,10 +335,11 @@ func issueArrayOp(v any) {
 	}
 }
 
-// arrayMemberDone is one member's completion. The last member schedules
-// the caller's callback — directly, or after the parity reconstruction
-// delay on a degraded read — reproducing the legacy do() event schedule
-// exactly (see finishArrayOp).
+// arrayMemberDone is one member's completion. The last member (in
+// lockstep, the lead alone) schedules the caller's callback — directly,
+// or after the parity reconstruction delay on a degraded read —
+// reproducing the legacy do() event schedule exactly (see
+// finishArrayOp).
 func arrayMemberDone(v any, err error) {
 	op := v.(*arrayOp)
 	if err != nil && op.firstErr == nil {
@@ -360,10 +429,8 @@ func (a *Array) doCall(off, n int64, write bool, fn func(any, error), arg any) {
 	op := a.getOp()
 	op.sector, op.count, op.write = sector, count, write
 	op.skip = -1
-	op.remaining = len(a.members)
 	if degraded {
 		op.skip = a.failed
-		op.remaining--
 	}
 	op.recon = recon
 	op.fn, op.arg = fn, arg
@@ -405,6 +472,7 @@ func (a *Array) StartRebuild(pol RebuildPolicy) {
 	if a.rebuilding {
 		panic(fmt.Sprintf("disk: array %s is already rebuilding", a.name))
 	}
+	a.unlock()
 	ss := a.geo.SectorSize
 	if pol.Chunk < ss {
 		panic(fmt.Sprintf("disk: rebuild chunk %d smaller than a %d-byte sector", pol.Chunk, ss))

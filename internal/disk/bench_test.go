@@ -57,26 +57,62 @@ func BenchmarkSCANQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkArrayRead measures a striped array request end to end.
+// arrayChains keeps a fixed number of ReadCalls outstanding on one
+// array: each completion issues the next read until total reads have
+// been served.
+type arrayChains struct {
+	a             *Array
+	issued, total int
+	err           error
+}
+
+func (c *arrayChains) next() {
+	if c.issued < c.total {
+		c.issued++
+		c.a.ReadCall(int64(c.issued*7919%4096)*(64<<10), 64<<10, arrayChainDone, c)
+	}
+}
+
+func arrayChainDone(v any, err error) {
+	c := v.(*arrayChains)
+	if err != nil && c.err == nil {
+		c.err = err
+	}
+	c.next()
+}
+
+// BenchmarkArrayRead pins a healthy array's lockstep path — ReadCall,
+// the controller issue, the lead's start, service and finish, and the
+// one completion — at 0 allocs/op. Four reads stay outstanding. A
+// warm-up fills the event and op pools; the lead's histograms reserve
+// their samples. detgate runs this with -benchtime=100x as part of the
+// allocation gate.
 func BenchmarkArrayRead(b *testing.B) {
 	k := sim.NewKernel()
 	a := NewArray(k, "raid", 4, testGeo(), FIFO, sim.Millisecond)
-	max := a.Capacity() - 64<<10
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Read((int64(i)*64<<10)%max, 64<<10)
-		if i%256 == 255 {
-			b.StopTimer()
-			if err := k.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
+	c := &arrayChains{a: a}
+	run := func(n int) {
+		c.issued, c.total = 0, n
+		for range 4 {
+			c.next()
+		}
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if c.err != nil {
+			b.Fatal(c.err)
 		}
 	}
+	run(512)
+	lead := a.members[0]
+	lead.QueueLen.Reserve(512 + b.N)
+	lead.SeekDist.Reserve(512 + b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
 	b.StopTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
+	if !a.lock {
+		b.Fatal("the array left lockstep")
 	}
 }
 

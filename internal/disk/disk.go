@@ -14,12 +14,14 @@
 //
 // An Array byte-stripes every request across its members (RAID-3 style):
 // a read of n bytes keeps all members busy with n/members bytes each and
-// completes when the slowest member finishes.
+// completes when the slowest member finishes. While an array is healthy
+// its members move in lockstep, and it drives only its lead member.
 package disk
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/sim"
@@ -110,21 +112,8 @@ func (g Geometry) seekTime(a, b int64) sim.Time {
 	if d == 0 {
 		return 0
 	}
-	frac := sqrtFrac(float64(d) / float64(g.Cylinders-1))
+	frac := math.Sqrt(float64(d) / float64(g.Cylinders-1))
 	return g.SeekMin + sim.Time(float64(g.SeekMax-g.SeekMin)*frac)
-}
-
-func sqrtFrac(x float64) float64 {
-	// Newton's method; x ∈ [0,1] so this converges in a few steps. Avoids
-	// importing math for one call site... but clarity beats cleverness:
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 20; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
 }
 
 // Sched selects the order requests are served in.
@@ -203,6 +192,11 @@ type Disk struct {
 	cur     int64    // current cylinder
 	nextLBA int64    // sector following the last transfer, -1 initially
 	dir     int64    // SCAN sweep direction: +1 or -1
+
+	// carry holds an unlocked array's followers whose start or finish
+	// rides on this lead's booked diskStart or diskFinish (see
+	// Array.unlock); nil otherwise.
+	carry []*Disk
 
 	// Measurements.
 	Requests        int64
@@ -432,10 +426,10 @@ func (d *Disk) Write(sector, count int64) *sim.Signal {
 func diskStart(a any) {
 	d := a.(*Disk)
 	d.booked = false
-	if len(d.queue) == 0 {
-		return // Kill failed everything that was queued
+	if len(d.queue) > 0 { // else Kill failed everything that was queued
+		d.begin()
 	}
-	d.begin()
+	d.runCarried(diskStart)
 }
 
 // begin picks the next request and books its completion after the
@@ -463,9 +457,20 @@ func diskFinish(a any) {
 	d.complete(req, d.injectFault(req))
 	if len(d.queue) > 0 {
 		d.begin()
-		return
+	} else {
+		d.idleGap = true
 	}
-	d.idleGap = true
+	d.runCarried(diskFinish)
+}
+
+// runCarried runs the carried followers' start or finish right after the
+// lead's own, where their separately booked events would have run.
+func (d *Disk) runCarried(fn func(any)) {
+	carry := d.carry
+	d.carry = nil
+	for _, f := range carry {
+		fn(f)
+	}
 }
 
 // pick removes and returns the next request per the scheduling policy.

@@ -53,6 +53,42 @@ func TestSeekCurve(t *testing.T) {
 	}
 }
 
+// newtonSqrt is the 20-step Newton iteration seekTime used before it
+// called math.Sqrt. The two differ in the last bit on some inputs.
+func newtonSqrt(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	z := x
+	for i := 0; i < 20; i++ {
+		z = (z + x/z) / 2
+	}
+	return z
+}
+
+// TestSeekTimeMatchesNewton: at every cylinder distance of every
+// geometry the repository builds — the Seagate94601 default, the
+// sensitivity experiment's doubled seek, and testGeo — seekTime gives
+// the same integer time as with the Newton square root it replaced.
+func TestSeekTimeMatchesNewton(t *testing.T) {
+	doubled := Seagate94601()
+	doubled.SeekMin *= 2
+	doubled.SeekMax *= 2
+	for _, c := range []struct {
+		name string
+		geo  Geometry
+	}{{"Seagate94601", Seagate94601()}, {"doubled seek", doubled}, {"testGeo", testGeo()}} {
+		g := c.geo
+		for d := int64(1); d < g.Cylinders; d++ {
+			frac := newtonSqrt(float64(d) / float64(g.Cylinders-1))
+			want := g.SeekMin + sim.Time(float64(g.SeekMax-g.SeekMin)*frac)
+			if got := g.seekTime(0, d); got != want {
+				t.Fatalf("%s: seek over %d cylinders takes %v, %v with the Newton square root", c.name, d, got, want)
+			}
+		}
+	}
+}
+
 func TestSingleRead(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, "d0", testGeo(), FIFO)

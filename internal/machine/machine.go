@@ -293,8 +293,8 @@ func (m *Machine) scheduleMemberFail(cfg Config) {
 	if ai < 0 || ai >= len(m.Arrays) {
 		panic(fmt.Sprintf("machine: member-fail array %d outside %d arrays", ai, len(m.Arrays)))
 	}
-	if mi < 0 || mi >= len(m.Arrays[ai].Members()) {
-		panic(fmt.Sprintf("machine: member-fail member %d outside array of %d", mi, len(m.Arrays[ai].Members())))
+	if mi < 0 || mi >= m.Arrays[ai].Width() {
+		panic(fmt.Sprintf("machine: member-fail member %d outside array of %d", mi, m.Arrays[ai].Width()))
 	}
 	array := m.Arrays[ai]
 	rebuild := cfg.Rebuild

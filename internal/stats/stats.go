@@ -62,6 +62,14 @@ func (h *Histogram) Reset() {
 	h.sorted = false
 }
 
+// Clone returns an independent copy of h: samples observed later on
+// either histogram do not show in the other.
+func (h *Histogram) Clone() Histogram {
+	c := *h
+	c.samples = append([]float64(nil), h.samples...)
+	return c
+}
+
 // ObserveTime records a simulated duration, in seconds.
 func (h *Histogram) ObserveTime(d sim.Time) { h.Observe(d.Seconds()) }
 

@@ -255,3 +255,16 @@ func TestHistogramReserveKeepsSamples(t *testing.T) {
 		t.Fatal("Reserve lost existing samples")
 	}
 }
+
+func TestHistogramCloneIsIndependent(t *testing.T) {
+	var h Histogram
+	h.Reserve(8)
+	h.Observe(3)
+	h.Observe(1)
+	c := h.Clone()
+	h.Observe(5)
+	c.Observe(7)
+	if c.N() != 3 || c.Sum() != 11 || h.Sum() != 9 || c.Max() != 7 || h.Max() != 5 {
+		t.Fatalf("clone and original share samples: clone N=%d sum=%v, original sum=%v", c.N(), c.Sum(), h.Sum())
+	}
+}
