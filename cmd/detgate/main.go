@@ -17,7 +17,8 @@
 // and process switch, the mesh micro, the event queue's hold-model bench
 // at depths 1k and 100k, the disk's callback server, a healthy array's
 // lockstep read, plus the pfs client steady-state read, the pfs
-// asynchronous read through the ART, and the ionode service paths —
+// asynchronous read through the ART, the pfs callback positioned read
+// (ReadAtCall), and the ionode service paths —
 // still report 0 allocs/op.
 package main
 
@@ -111,7 +112,7 @@ var allocGatePackages = []struct {
 	{"./internal/sim/", "BenchmarkEventThroughput$|BenchmarkProcSwitch$|BenchmarkQueuePushPop/depth=(1k|100k)$"},
 	{"./internal/mesh/", "BenchmarkSend$"},
 	{"./internal/disk/", "BenchmarkDiskServe$|BenchmarkArrayRead$"},
-	{"./internal/pfs/", "BenchmarkClientSteadyRead$|BenchmarkAsyncRead$"},
+	{"./internal/pfs/", "BenchmarkClientSteadyRead$|BenchmarkAsyncRead$|BenchmarkReadAtCall$"},
 	{"./internal/ionode/", "BenchmarkServicePath$"},
 }
 
@@ -128,6 +129,7 @@ var zeroAllocBenches = map[string]bool{
 	"BenchmarkArrayRead":               true, // healthy array's lockstep ReadCall path
 	"BenchmarkClientSteadyRead":        true, // pfs client steady-state read path
 	"BenchmarkAsyncRead":               true, // pfs asynchronous read through the ART
+	"BenchmarkReadAtCall":              true, // pfs callback positioned read (open-loop QoS)
 	"BenchmarkServicePath":             true, // ionode request service path
 }
 

@@ -437,22 +437,80 @@ func (a *Array) doCall(off, n int64, write bool, fn func(any, error), arg any) {
 	a.k.AtCall(a.k.Now()+a.overhead, issueArrayOp, op)
 }
 
-// rebuildPass counts down one rebuild chunk's member reads plus the spare
-// write; the signal wakes the rebuild process. The struct and its signal
-// are reused across passes.
+// rebuildPass is the background rebuild: a state machine that copies
+// one chunk per pass — the survivors' reads plus the spare write, counted
+// down by remaining — and sleeps the policy's gap between passes. Its
+// request storage is reused across passes.
 type rebuildPass struct {
+	a         *Array
+	gap       sim.Time
+	sector    int64 // first sector of the next chunk
+	chunk     int64 // sectors per chunk
+	end       int64 // sectors beyond it were never written
 	remaining int
-	pass      *sim.Signal
+	reqs      []Request
+}
+
+// rebuildNext starts the next pass, or promotes the spare when the copy
+// is complete.
+func rebuildNext(v any) {
+	rp := v.(*rebuildPass)
+	a := rp.a
+	if rp.sector >= rp.end {
+		a.members[a.failed] = a.spare
+		a.failed = -1
+		a.spare = nil
+		a.rebuilding = false
+		a.RebuildDoneAt = a.k.Now()
+		a.emit(trace.RebuildDone, 0, rp.end*a.geo.SectorSize)
+		return
+	}
+	count := min(rp.chunk, rp.end-rp.sector)
+	rp.remaining = len(a.members) // survivors + the spare write
+	for i, d := range a.members {
+		if i == a.failed {
+			continue
+		}
+		req := &rp.reqs[i]
+		*req = Request{Sector: rp.sector, Count: count,
+			OnDone: rebuildMemberDone, DoneArg: rp}
+		d.Submit(req)
+	}
+	w := &rp.reqs[len(a.members)]
+	*w = Request{Sector: rp.sector, Count: count, Write: true,
+		OnDone: rebuildMemberDone, DoneArg: rp}
+	a.spare.Submit(w)
 }
 
 // rebuildMemberDone is one rebuild request's completion. Rebuild retries
-// media hiccups internally; the pass completes regardless of err.
+// media hiccups internally; the pass completes regardless of err. The
+// last one books the pass's end with one zero-delay event, so the end
+// runs after every event already booked for that instant. Completions
+// always arrive in events of their own, so a pass never ends inside
+// rebuildNext.
 func rebuildMemberDone(v any, _ error) {
 	rp := v.(*rebuildPass)
 	rp.remaining--
 	if rp.remaining == 0 {
-		rp.pass.Fire(nil)
+		rp.a.k.AfterCall(0, rebuildPassDone, rp)
 	}
+}
+
+// rebuildPassDone accounts a finished pass and, after the gap if any,
+// starts the next one.
+func rebuildPassDone(v any) {
+	rp := v.(*rebuildPass)
+	a := rp.a
+	count := min(rp.chunk, rp.end-rp.sector)
+	a.RebuildIOs++
+	a.RebuildBytes += count * a.geo.SectorSize
+	a.emit(trace.RebuildIO, rp.sector*a.geo.SectorSize, count*a.geo.SectorSize)
+	rp.sector += rp.chunk
+	if rp.gap > 0 {
+		a.k.AfterCall(rp.gap, rebuildNext, rp)
+		return
+	}
+	rebuildNext(rp)
 }
 
 // StartRebuild spawns the background rebuild: a hot spare is spun up and
@@ -482,42 +540,7 @@ func (a *Array) StartRebuild(pol RebuildPolicy) {
 	}
 	a.rebuilding = true
 	a.spare = New(a.k, a.name+".spare", a.geo, a.sched)
-	chunkSectors := pol.Chunk / ss
-	end := a.highSector // sectors beyond the high-water mark were never written
-
-	a.k.Go("rebuild/"+a.name, func(p *sim.Proc) {
-		rp := &rebuildPass{pass: sim.NewSignal(a.k)}
-		reqs := make([]Request, len(a.members)+1)
-		for sector := int64(0); sector < end; sector += chunkSectors {
-			count := min(chunkSectors, end-sector)
-			rp.pass.Reset(a.k)
-			rp.remaining = len(a.members) // survivors + the spare write
-			for i, d := range a.members {
-				if i == a.failed {
-					continue
-				}
-				req := &reqs[i]
-				*req = Request{Sector: sector, Count: count,
-					OnDone: rebuildMemberDone, DoneArg: rp}
-				d.Submit(req)
-			}
-			w := &reqs[len(a.members)]
-			*w = Request{Sector: sector, Count: count, Write: true,
-				OnDone: rebuildMemberDone, DoneArg: rp}
-			a.spare.Submit(w)
-			rp.pass.Wait(p) //nolint:errcheck // pass always fires nil
-			a.RebuildIOs++
-			a.RebuildBytes += count * ss
-			a.emit(trace.RebuildIO, sector*ss, count*ss)
-			if pol.Gap > 0 {
-				p.Sleep(pol.Gap)
-			}
-		}
-		a.members[a.failed] = a.spare
-		a.failed = -1
-		a.spare = nil
-		a.rebuilding = false
-		a.RebuildDoneAt = p.Now()
-		a.emit(trace.RebuildDone, 0, end*ss)
-	})
+	rp := &rebuildPass{a: a, gap: pol.Gap, chunk: pol.Chunk / ss,
+		end: a.highSector, reqs: make([]Request, len(a.members)+1)}
+	a.k.AfterCall(0, rebuildNext, rp)
 }

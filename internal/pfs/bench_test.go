@@ -121,6 +121,62 @@ func BenchmarkAsyncRead(b *testing.B) {
 	run(b.N)
 }
 
+// readAtChain keeps one pooled ReadAtCall in flight on a file: each
+// completion issues the next read until total reads are done.
+type readAtChain struct {
+	f             *File
+	issued, total int
+	err           error
+}
+
+func (c *readAtChain) issue() {
+	off := int64(c.issued%16) * 64 << 10
+	c.issued++
+	c.f.ReadAtCall(off, 64<<10, readAtChainDone, c)
+}
+
+func readAtChainDone(a any, _ int64, err error) {
+	c := a.(*readAtChain)
+	if err != nil && c.err == nil {
+		c.err = err
+	}
+	if c.issued < c.total {
+		c.issue()
+	}
+}
+
+// BenchmarkReadAtCall pins the callback positioned read — ReadAtCall's
+// client-call event, the stripe fan-out, the signal callback and the
+// completion accounting — at 0 allocs/op on a file with no prefetcher,
+// the open-loop QoS workload's read path. One warm-up pass fills the
+// pools and sample storage. detgate runs this with -benchtime=100x as
+// part of the allocation gate.
+func BenchmarkReadAtCall(b *testing.B) {
+	r := newRig(b, 1, 4)
+	if err := r.fsys.Create("bench", 1<<20); err != nil {
+		b.Fatal(err)
+	}
+	f, err := r.fsys.Open("bench", 0, MAsync, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := &readAtChain{f: f}
+	run := func(reads int) {
+		c.issued, c.total = 0, reads
+		c.issue()
+		if err := r.k.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if c.err != nil {
+			b.Fatal(c.err)
+		}
+	}
+	run(512) // warm the pools and sample storage
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}
+
 // BenchmarkCollectiveRead measures an end-to-end M_RECORD whole-file scan
 // on a small machine: the cost of simulating one evaluation data point.
 func BenchmarkCollectiveRead(b *testing.B) {

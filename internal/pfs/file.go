@@ -416,6 +416,97 @@ func (f *File) ReadAt(p *sim.Proc, off, n int64) (int64, error) {
 	return n, nil
 }
 
+// readAtOp is the pooled state of one ReadAtCall: what ReadAt keeps on
+// its process's stack while the process sleeps and waits.
+type readAtOp struct {
+	f      *File
+	off, n int64
+	start  sim.Time
+	sig    *sim.Signal
+	done   func(any, int64, error)
+	arg    any
+}
+
+func (fsys *FileSystem) getReadAtOp() *readAtOp {
+	if n := len(fsys.readAtFree); n > 0 {
+		op := fsys.readAtFree[n-1]
+		fsys.readAtFree[n-1] = nil
+		fsys.readAtFree = fsys.readAtFree[:n-1]
+		return op
+	}
+	return &readAtOp{}
+}
+
+func (fsys *FileSystem) putReadAtOp(op *readAtOp) {
+	*op = readAtOp{}
+	fsys.readAtFree = append(fsys.readAtFree, op)
+}
+
+// ReadAtCall is ReadAt without a process: done(arg, n, err) runs where
+// ReadAt would return, and the call books the same events at the same
+// instants in the same order as ReadAt on a process does — the client
+// call's sleep, then one zero-delay wake when the stripe signal fires
+// (none when it fired before the wait). An invalid call (closed file,
+// range outside the file) calls done before returning, as ReadAt returns
+// before its first sleep. The prefetcher's ServeRead blocks a process,
+// so ReadAtCall panics on a file with one installed.
+func (f *File) ReadAtCall(off, n int64, done func(any, int64, error), arg any) {
+	if f.pf != nil {
+		panic(fmt.Sprintf("pfs: ReadAtCall on %s, which has a prefetcher; use ReadAt", f.meta.name))
+	}
+	if f.closed {
+		done(arg, 0, ErrClosed)
+		return
+	}
+	if off < 0 || n <= 0 || off+n > f.meta.size {
+		done(arg, 0, fmt.Errorf("pfs: read [%d,+%d) outside %s (%d bytes)", off, n, f.meta.name, f.meta.size))
+		return
+	}
+	fsys := f.fsys
+	op := fsys.getReadAtOp()
+	op.f, op.off, op.n, op.start, op.done, op.arg = f, off, n, fsys.k.Now(), done, arg
+	fsys.emit(trace.ReadStart, f.node, f.meta.name, off, n)
+	fsys.k.AfterCall(fsys.cfg.ClientCall, readAtIssue, op)
+}
+
+// readAtIssue runs when the client call's cost has elapsed: issue the
+// striped read, and finish now if it settled synchronously (Wait would
+// not have blocked), else when its signal fires.
+func readAtIssue(a any) {
+	op := a.(*readAtOp)
+	f := op.f
+	op.sig = f.fsys.getSig()
+	f.fsys.stripeIOInto(op.sig, f.node, f.tenant, f.meta, op.off, op.n, false)
+	if op.sig.Fired() {
+		op.finish(op.sig.Err())
+		return
+	}
+	op.sig.OnFireCall(readAtFired, op)
+}
+
+func readAtFired(a any, err error) { a.(*readAtOp).finish(err) }
+
+// finish is the tail of ReadAt after its wait: the counters on success,
+// then the read-end event on either path, then the caller's done.
+func (op *readAtOp) finish(err error) {
+	f, fsys := op.f, op.f.fsys
+	fsys.putSig(op.sig)
+	off, n := op.off, op.n
+	got := int64(0)
+	if err == nil {
+		f.IOBytes += n
+		f.RecordDelivery(off, n)
+		f.ReadCalls++
+		f.BytesRead += n
+		f.ReadTime.ObserveTime(fsys.k.Now() - op.start)
+		got = n
+	}
+	fsys.emit(trace.ReadEnd, f.node, f.meta.name, off, n)
+	done, arg := op.done, op.arg
+	fsys.putReadAtOp(op)
+	done(arg, got, err)
+}
+
 // HintAt asks the I/O nodes holding [off, off+n) to pull those stripe
 // pieces into their buffer caches — the server-side prefetch placement.
 // Only the small hint messages travel; no data returns, no completion is

@@ -102,11 +102,16 @@ type FileSystem struct {
 	created int             // files created; drives stripe-base rotation
 	tr      *trace.Log      // optional event timeline
 
+	// onEmit, when set, runs after each event emit records. Tests use it
+	// to read a file's counters at the instant of an event.
+	onEmit func(trace.Event)
+
 	// Free lists and scratch for the allocation-free stripe path.
 	pieceBuf    []piece         // decluster scratch, one op at a time
 	sigFree     []*sim.Signal   // pooled signals for blocking stripe ops
 	stripeFree  []*stripeOp     // pooled per-op bookkeeping
 	attemptFree []*pieceAttempt // pooled per-attempt bookkeeping
+	readAtFree  []*readAtOp     // pooled ReadAtCall state
 
 	// Generation-stamped per-server merge index for declusterInto: slot
 	// s holds the index in pieceBuf of server s's latest piece when its
@@ -186,7 +191,11 @@ func (fsys *FileSystem) Trace() *trace.Log { return fsys.tr }
 // emit records a trace event when tracing is enabled.
 func (fsys *FileSystem) emit(kind trace.Kind, node int, file string, off, n int64) {
 	if fsys.tr != nil {
-		fsys.tr.Add(trace.Event{T: fsys.k.Now(), Kind: kind, Node: node, File: file, Off: off, N: n})
+		e := trace.Event{T: fsys.k.Now(), Kind: kind, Node: node, File: file, Off: off, N: n}
+		fsys.tr.Add(e)
+		if fsys.onEmit != nil {
+			fsys.onEmit(e)
+		}
 	}
 }
 

@@ -135,8 +135,8 @@ func BenchmarkProcSwitch(b *testing.B) {
 }
 
 // BenchmarkProcSpawn measures a process's whole life: start, one
-// block/wake, finish. Short-lived processes (one per QoS arrival) pay
-// this per request.
+// block/wake, finish. Short-lived processes (one per read of a QoS
+// prefetch-attached tenant) pay this per request.
 func BenchmarkProcSpawn(b *testing.B) {
 	k := NewKernel()
 	body := func(p *Proc) { p.Sleep(1) }

@@ -103,6 +103,8 @@ type ladderQueue struct {
 	rungs [ladderMaxRungs]ladderRung
 
 	scratch []*event // reused merge-sort buffer
+
+	moved uint64 // slots insertBottom has copied; read by tests
 }
 
 // reset puts the queue in its initial state: empty, holding no storage,
@@ -142,6 +144,13 @@ func (q *ladderQueue) push(e *event) {
 // always carry a fresh (larger) seq, so on a time tie they sort after
 // every resident event with the same t — the binary search below
 // therefore only compares times.
+//
+// The live run moves toward whichever end is nearer the insert point:
+// into the dead slot before the cursor when the head side is shorter,
+// or toward the array's end otherwise. The dead prefix is compacted only
+// once it is at least as long as the live run, so with a resident
+// far-future event keeping the queue non-empty, near-time churn neither
+// grows the array without bound nor copies the live run on every push.
 func (q *ladderQueue) insertBottom(e *event) {
 	lo, hi := q.bot, len(q.bottom)
 	for lo < hi {
@@ -152,19 +161,16 @@ func (q *ladderQueue) insertBottom(e *event) {
 			hi = mid
 		}
 	}
-	if lo == q.bot && q.bot > 0 {
-		// Reuse the dead slot just before the cursor — the common shape
-		// of below-threshold churn (the new event becomes the head), so
-		// repeated push/pop at the cursor is O(1) and grows nothing.
+	if q.bot > 0 && lo-q.bot <= len(q.bottom)-lo {
+		// Shift the head run [bot, lo) one slot left; with lo == bot
+		// (the new event is the head) nothing moves.
+		q.moved += uint64(copy(q.bottom[q.bot-1:], q.bottom[q.bot:lo]))
 		q.bot--
-		q.bottom[q.bot] = e
+		q.bottom[lo-1] = e
 		return
 	}
-	if q.bot > 0 {
-		// Compact the dead prefix before growing the array: with a
-		// resident far-future event keeping the queue non-empty, near-
-		// time churn would otherwise append one slot per push forever.
-		live := copy(q.bottom, q.bottom[q.bot:])
+	if live := len(q.bottom) - q.bot; q.bot > 0 && q.bot >= live {
+		q.moved += uint64(copy(q.bottom, q.bottom[q.bot:]))
 		for i := live; i < len(q.bottom); i++ {
 			q.bottom[i] = nil
 		}
@@ -173,7 +179,7 @@ func (q *ladderQueue) insertBottom(e *event) {
 		q.bot = 0
 	}
 	q.bottom = append(q.bottom, nil)
-	copy(q.bottom[lo+1:], q.bottom[lo:])
+	q.moved += uint64(copy(q.bottom[lo+1:], q.bottom[lo:]))
 	q.bottom[lo] = e
 }
 

@@ -30,7 +30,7 @@ type Proc struct {
 
 // coroutine runs processes one after another. When its process ends it
 // parks in k.idle, and the next start event reuses it: a short-lived
-// process (one per QoS arrival) costs a switch in and out, not a new
+// process (one per read of a QoS prefetch-attached tenant) costs a switch in and out, not a new
 // coroutine. Every coroutine lives until Kernel.Close.
 type coroutine struct {
 	next  func() (struct{}, bool) // runs the process until it blocks or ends

@@ -73,8 +73,22 @@ func TestQueueDifferentialDistributions(t *testing.T) {
 			}
 			return Time(r.next() % 1000)
 		}},
+		// The faults workload's shape: a rare far-future timer stays
+		// resident in top while near-time churn, a few hundred deep,
+		// lands in the bottom as zero-delay hops (ties at the head) or
+		// timers past the resident events (near its end).
+		{"faults", func(r *xorshift) Time {
+			switch x := r.next() % 64; {
+			case x == 0:
+				return Time(1<<40 + r.next()%1000)
+			case x < 32:
+				return 0
+			default:
+				return Time(900 + r.next()%100)
+			}
+		}},
 	}
-	sizes := []int{1, 10, 1000, 30000}
+	sizes := []int{1, 10, 300, 1000, 30000}
 	for _, d := range dists {
 		for _, n := range sizes {
 			t.Run(fmt.Sprintf("%s/n=%d", d.name, n), func(t *testing.T) {
@@ -143,6 +157,64 @@ func TestLadderFarFutureTimer(t *testing.T) {
 	}
 	if got := len(lq.bottom); got > 64 {
 		t.Fatalf("bottom grew to %d slots under near-time churn; dead-prefix reclamation is broken", got)
+	}
+}
+
+// TestLadderBottomChurnMoves bounds the slots insertBottom copies per
+// insert on the faults workload's queue shape. A far-future timer keeps
+// the queue from draining, so no rung is ever spawned and every booking
+// lands in the bottom, a few hundred events deep. Most bookings are
+// zero-delay hops or short steps (near the head) or timers past the
+// resident events (near the end), so the run should move a few slots
+// per insert — not the whole live run, as compacting the dead prefix
+// before every insert did.
+func TestLadderBottomChurnMoves(t *testing.T) {
+	lq := newLadderQueue()
+	ref := &refQueue{}
+	var seq uint64
+	push := func(tm Time) {
+		seq++
+		ref.push(&event{t: tm, seq: seq})
+		lq.push(&event{t: tm, seq: seq})
+	}
+	pop := func() Time {
+		a, b := ref.pop(), lq.pop()
+		if a.t != b.t || a.seq != b.seq {
+			t.Fatalf("pop mismatch: reference (%v, %d) vs ladder (%v, %d)", a.t, a.seq, b.t, b.seq)
+		}
+		return a.t
+	}
+	const far, depth, horizon, inserts = Time(1) << 40, 300, 10000, 100000
+	push(far)
+	push(0)
+	pop() // sorts top into the bottom; every later push below far lands there
+	r := xorshift(0x5eed)
+	for i := 0; i < depth; i++ {
+		push(Time(r.next() % horizon))
+	}
+	lq.moved = 0
+	for i := 0; i < inserts; i++ {
+		now := pop()
+		var d Time
+		switch x := r.next() % 8; {
+		case x < 4: // zero-delay hop
+		case x < 6: // short service step
+			d = Time(r.next() % 50)
+		default: // a timer past the resident events
+			d = horizon + Time(r.next()%1000)
+		}
+		push(now + d)
+		if lq.nr != 0 {
+			t.Fatalf("insert %d spawned a rung; the queue lost the faults shape", i)
+		}
+	}
+	per := float64(lq.moved) / inserts
+	t.Logf("%.2f slots moved per insert at depth %d", per, depth)
+	if per > 4 {
+		t.Fatalf("%.2f slots moved per bottom insert at depth %d, want at most 4", per, depth)
+	}
+	if got := len(lq.bottom); got > 4*depth {
+		t.Fatalf("bottom grew to %d slots at depth %d", got, depth)
 	}
 }
 

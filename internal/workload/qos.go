@@ -70,7 +70,7 @@ type TenantStats struct {
 	Weight int // scheduler weight the run used
 
 	// Client side.
-	Requests   int64 // spawned by the arrival process
+	Requests   int64 // arrivals in the tenant's schedule
 	Done       int64 // completed successfully
 	Throttled  int64 // failed with ionode.ErrThrottled (admission)
 	Overloaded int64 // failed with ionode.ErrOverloaded (breaker)
@@ -254,60 +254,17 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 		qr.Tenants[t].Weight = cfg.Fair.Weight(t)
 	}
 
-	// The arrival processes. Each sleeps its tenant's heavy-tailed gap
-	// sequence and spawns a reader per request; readers run concurrently
-	// and never delay the next arrival. Their interleaving is the
-	// kernel's deterministic event order.
-	var elapsed sim.Time
+	// The arrivals. Each tenant's arrival state machine walks its
+	// heavy-tailed gap sequence and starts a reader per request; readers
+	// run concurrently and never delay the next arrival. Their
+	// interleaving is the kernel's deterministic event order.
+	d := &qosDriver{k: m.K, spec: spec, qr: qr, units: units}
 	for t := 0; t < spec.Tenants; t++ {
-		t := t
-		st := &qr.Tenants[t]
-		count := qosCount(spec, t)
-		base := int64(qosRand(spec.Seed, t, 0, qosSaltBase) % uint64(units))
-		m.K.Go(fmt.Sprintf("qos-arr%d", t), func(p *sim.Proc) {
-			for k := 0; k < count; k++ {
-				if g := qosGap(spec, t, k); g > 0 {
-					p.Sleep(g)
-				}
-				off := ((base + int64(k)) % units) * spec.RequestSize
-				st.Requests++
-				qr.Arrivals++
-				if spec.Trace != nil {
-					spec.Trace.Add(trace.Event{T: p.Now(), Kind: trace.QoSArrival, Node: t, N: spec.RequestSize})
-				}
-				m.K.Go(fmt.Sprintf("qos-rd%d.%d", t, k), func(rp *sim.Proc) {
-					start := rp.Now()
-					n, err := files[t].ReadAt(rp, off, spec.RequestSize)
-					lat := rp.Now() - start
-					switch {
-					case err == nil:
-						st.Done++
-						st.Bytes += n
-						st.SumLatency += lat
-						if lat > st.MaxLatency {
-							st.MaxLatency = lat
-						}
-						qr.Latency.ObserveTime(lat)
-						if spec.SLO > 0 && lat <= spec.SLO {
-							st.SLOMet++
-							qr.SLOMet++
-						}
-					case errors.Is(err, ionode.ErrThrottled):
-						st.Throttled++
-						qr.Throttled++
-					case errors.Is(err, ionode.ErrOverloaded):
-						st.Overloaded++
-						qr.Overloaded++
-					default:
-						st.Failed++
-						qr.Failed++
-					}
-					if now := rp.Now(); now > elapsed {
-						elapsed = now
-					}
-				})
-			}
-		})
+		ten := &qosTenant{d: d, t: t, f: files[t], st: &qr.Tenants[t],
+			count:    qosCount(spec, t),
+			base:     int64(qosRand(spec.Seed, t, 0, qosSaltBase) % uint64(units)),
+			prefetch: pf != nil && t%spec.PrefetchEvery == 0}
+		m.K.AfterCall(0, qosArrivals, ten)
 	}
 	if err := m.Run(); err != nil {
 		return nil, err
@@ -341,13 +298,147 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 	if openErr != nil {
 		return nil, openErr
 	}
-	res.Elapsed = elapsed
+	res.Elapsed = d.elapsed
 	res.Bandwidth = stats.MBps(res.TotalBytes, res.Elapsed)
 	res.TokenOps = m.FS.TokenOps
 	res.TokenWaits = m.FS.TokenWaits
 	res.TokenWaitTime = m.FS.TokenWaitTime
 	collectFaults(res, m)
 	return res, nil
+}
+
+// qosDriver is the state the arrival and reader callbacks of one RunQoS
+// share: the spec, the ledger, and a free list of request structs.
+type qosDriver struct {
+	k       *sim.Kernel
+	spec    QoSSpec
+	qr      *QoSResult
+	units   int64 // requests that fit in a file
+	elapsed sim.Time
+	free    []*qosReq
+}
+
+// qosTenant is one tenant's arrival state machine: the k-th arrival is
+// due once gap k has passed since arrival k-1 (or the start).
+type qosTenant struct {
+	d        *qosDriver
+	t        int
+	f        *pfs.File
+	st       *TenantStats
+	count    int   // arrivals in the tenant's schedule
+	base     int64 // first request's index in the file
+	k        int   // next arrival
+	prefetch bool  // the file has the prefetcher, whose reads block a process
+}
+
+// qosReq is one arrival's read, pooled on the driver.
+type qosReq struct {
+	ten   *qosTenant
+	off   int64
+	start sim.Time
+}
+
+// qosArrivals starts a tenant's arrivals.
+func qosArrivals(a any) { a.(*qosTenant).run() }
+
+// qosArrivalDue runs when a gap has passed: the arrival it delayed, then
+// the ones after it.
+func qosArrivalDue(a any) {
+	ten := a.(*qosTenant)
+	ten.arrive()
+	ten.run()
+}
+
+// run makes the arrivals due now and books the next positive gap. A zero
+// gap books nothing: that arrival happens in the same event.
+func (ten *qosTenant) run() {
+	for ten.k < ten.count {
+		if g := qosGap(ten.d.spec, ten.t, ten.k); g > 0 {
+			ten.d.k.AfterCall(g, qosArrivalDue, ten)
+			return
+		}
+		ten.arrive()
+	}
+}
+
+// arrive makes arrival k and starts its reader with one zero-delay
+// event: a callback read, or on a prefetch-attached file a process,
+// since the prefetcher's ServeRead blocks one.
+func (ten *qosTenant) arrive() {
+	d, spec, k := ten.d, &ten.d.spec, ten.k
+	ten.k++
+	off := ((ten.base + int64(k)) % d.units) * spec.RequestSize
+	ten.st.Requests++
+	d.qr.Arrivals++
+	if spec.Trace != nil {
+		spec.Trace.Add(trace.Event{T: d.k.Now(), Kind: trace.QoSArrival, Node: ten.t, N: spec.RequestSize})
+	}
+	if ten.prefetch {
+		d.k.Go(fmt.Sprintf("qos-rd%d.%d", ten.t, k), func(p *sim.Proc) {
+			start := p.Now()
+			n, err := ten.f.ReadAt(p, off, spec.RequestSize)
+			d.complete(ten, start, n, err)
+		})
+		return
+	}
+	var req *qosReq
+	if n := len(d.free); n > 0 {
+		req = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		req = &qosReq{}
+	}
+	req.ten, req.off = ten, off
+	d.k.AfterCall(0, qosReadStart, req)
+}
+
+// qosReadStart is a callback reader's start.
+func qosReadStart(a any) {
+	req := a.(*qosReq)
+	req.start = req.ten.d.k.Now()
+	req.ten.f.ReadAtCall(req.off, req.ten.d.spec.RequestSize, qosReadDone, req)
+}
+
+// qosReadDone is a callback read's completion; it frees the request.
+func qosReadDone(a any, n int64, err error) {
+	req := a.(*qosReq)
+	ten, start := req.ten, req.start
+	d := ten.d
+	req.ten = nil
+	d.free = append(d.free, req)
+	d.complete(ten, start, n, err)
+}
+
+// complete accounts one finished read, started at start, to its tenant.
+func (d *qosDriver) complete(ten *qosTenant, start sim.Time, n int64, err error) {
+	st, qr, now := ten.st, d.qr, d.k.Now()
+	lat := now - start
+	switch {
+	case err == nil:
+		st.Done++
+		st.Bytes += n
+		st.SumLatency += lat
+		if lat > st.MaxLatency {
+			st.MaxLatency = lat
+		}
+		qr.Latency.ObserveTime(lat)
+		if d.spec.SLO > 0 && lat <= d.spec.SLO {
+			st.SLOMet++
+			qr.SLOMet++
+		}
+	case errors.Is(err, ionode.ErrThrottled):
+		st.Throttled++
+		qr.Throttled++
+	case errors.Is(err, ionode.ErrOverloaded):
+		st.Overloaded++
+		qr.Overloaded++
+	default:
+		st.Failed++
+		qr.Failed++
+	}
+	if now > d.elapsed {
+		d.elapsed = now
+	}
 }
 
 // validateQoS fills defaults and rejects nonsense.
