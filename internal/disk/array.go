@@ -42,9 +42,9 @@ type RebuildPolicy struct {
 // While an array of two or more members is healthy and nothing outside it
 // has touched its members, it runs in lockstep: every member would get
 // the same requests in the same order and keep the same queue, head and
-// counters, so each request is served on the lead (member 0) alone. The
-// first divergence — Members, FailMember, StartRebuild or the signal-form
-// Read/Write — ends lockstep for good (see unlock).
+// counters, so each request is served on the lead (member 0) alone.
+// Writes keep lockstep like reads. The first divergence — Members,
+// FailMember or StartRebuild — ends lockstep for good (see unlock).
 type Array struct {
 	k        *sim.Kernel
 	name     string
@@ -208,89 +208,10 @@ func (a *Array) SectorSize() int64 {
 	return a.members[0].Geometry().SectorSize * int64(len(a.members))
 }
 
-// do splits [off, off+n) bytes across the members and returns a signal
-// that fires when the slowest member completes. In degraded mode the dead
-// member is skipped and (for reads) the completion is delayed by the
-// parity reconstruction of its share.
-func (a *Array) do(off, n int64, write bool) *sim.Signal {
-	if off < 0 || n <= 0 || off+n > a.Capacity() {
-		panic(fmt.Sprintf("disk: array request [%d,+%d) outside %d-byte array", off, n, a.Capacity()))
-	}
-	a.unlock()
-	a.Requests++
-	a.Bytes += n
-
-	ss := a.members[0].Geometry().SectorSize
-	nm := int64(len(a.members))
-	// Byte-striping: member i holds bytes i, i+nm, i+2nm, ... so a range
-	// of the logical volume maps to the same sector range on every
-	// member.
-	memberOff := off / nm
-	memberLen := (n + nm - 1) / nm
-	sector := memberOff / ss
-	count := (memberOff+memberLen+ss-1)/ss - sector
-	if count == 0 {
-		count = 1
-	}
-	if end := sector + count; end > a.highSector {
-		a.highSector = end
-	}
-
-	degraded := a.failed >= 0 && a.parity
-	var recon sim.Time
-	if degraded && !write {
-		a.DegradedReads++
-		a.emit(trace.DegradedRead, off, n)
-		// The controller XORs the survivors' data with parity to
-		// resynthesize the dead member's share.
-		recon = sim.Seconds(float64(count*ss) / a.reconBW)
-	}
-
-	done := sim.NewSignal(a.k)
-	remaining := len(a.members)
-	if degraded {
-		remaining--
-	}
-	var firstErr error
-	at := a.k.Now() + a.overhead
-	a.k.At(at, func() {
-		for i, d := range a.members {
-			if degraded && i == a.failed {
-				continue
-			}
-			req := &Request{Sector: sector, Count: count, Write: write, Done: sim.NewSignal(a.k)}
-			req.Done.OnFire(func(err error) {
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				remaining--
-				if remaining == 0 {
-					if recon > 0 && firstErr == nil {
-						a.k.After(recon, func() { done.Fire(nil) })
-					} else {
-						done.Fire(firstErr)
-					}
-				}
-			})
-			d.Submit(req)
-		}
-	})
-	return done
-}
-
-// Read starts a read of n bytes at byte offset off and returns its
-// completion signal.
-func (a *Array) Read(off, n int64) *sim.Signal { return a.do(off, n, false) }
-
-// Write starts a write of n bytes at byte offset off and returns its
-// completion signal.
-func (a *Array) Write(off, n int64) *sim.Signal { return a.do(off, n, true) }
-
 // arrayOp is the pooled bookkeeping of one in-flight ReadCall/WriteCall:
 // the member Request structs, the completion countdown, and the caller's
 // callback. Ops and their request storage are recycled on the array's
-// free list, so the callback form of an array I/O allocates nothing in
-// steady state.
+// free list, so an array I/O allocates nothing in steady state.
 type arrayOp struct {
 	a         *Array
 	sector    int64
@@ -305,10 +226,10 @@ type arrayOp struct {
 	reqs      []Request // member request structs, reused across ops
 }
 
-// issueArrayOp is the controller-overhead event of a callback-form array
-// request: it fans the op out to the member disks, or in lockstep submits
-// it to the lead alone. The member count is set here, not in doCall, so
-// that an unlock between the two still fans out against a matching count.
+// issueArrayOp is the controller-overhead event of an array request: it
+// fans the op out to the member disks, or in lockstep submits it to the
+// lead alone. The member count is set here, not in doCall, so that an
+// unlock between the two still fans out against a matching count.
 func issueArrayOp(v any) {
 	op := v.(*arrayOp)
 	a := op.a
@@ -337,8 +258,7 @@ func issueArrayOp(v any) {
 
 // arrayMemberDone is one member's completion. The last member (in
 // lockstep, the lead alone) schedules the caller's callback — directly,
-// or after the parity reconstruction delay on a degraded read —
-// reproducing the legacy do() event schedule exactly (see
+// or after the parity reconstruction delay on a degraded read (see
 // finishArrayOp).
 func arrayMemberDone(v any, err error) {
 	op := v.(*arrayOp)
@@ -359,8 +279,8 @@ func arrayMemberDone(v any, err error) {
 }
 
 // finishArrayOp ends a degraded read after reconstruction: a separate
-// zero-delay hop delivers the callback, matching the legacy path's
-// After(recon) + Signal.Fire two-event shape.
+// zero-delay hop delivers the callback, so a degraded read completes in
+// two events, the reconstruction delay and the delivery.
 func finishArrayOp(v any, _ error) {
 	op := v.(*arrayOp)
 	op.a.k.AfterCallErr(0, op.fn, op.arg, nil)
@@ -382,22 +302,24 @@ func (a *Array) putOp(op *arrayOp) {
 	a.opFree = append(a.opFree, op)
 }
 
-// ReadCall is the callback form of Read: fn(arg, err) is scheduled at the
-// instant the read completes, with no signal or closure constructed.
-// Timing, accounting, degraded behavior, and event scheduling are
-// identical to Read observed through a signal with one callback.
+// ReadCall starts a read of n bytes at byte offset off: fn(arg, err) is
+// scheduled at the instant the slowest member completes, with no signal
+// or closure constructed. In degraded mode the dead member is skipped
+// and the completion is delayed by the parity reconstruction of its
+// share.
 func (a *Array) ReadCall(off, n int64, fn func(any, error), arg any) {
 	a.doCall(off, n, false, fn, arg)
 }
 
-// WriteCall is the callback form of Write.
+// WriteCall starts a write of n bytes at byte offset off; fn(arg, err)
+// is scheduled when the slowest member completes. A degraded write skips
+// the dead member and pays no reconstruction.
 func (a *Array) WriteCall(off, n int64, fn func(any, error), arg any) {
 	a.doCall(off, n, true, fn, arg)
 }
 
-// doCall is do() with pooled bookkeeping instead of per-request signals.
-// The two paths must stay event-for-event identical; do() is the
-// reference.
+// doCall splits [off, off+n) bytes across the members on a pooled op and
+// books its issue after the controller overhead.
 func (a *Array) doCall(off, n int64, write bool, fn func(any, error), arg any) {
 	if off < 0 || n <= 0 || off+n > a.Capacity() {
 		panic(fmt.Sprintf("disk: array request [%d,+%d) outside %d-byte array", off, n, a.Capacity()))
@@ -407,6 +329,9 @@ func (a *Array) doCall(off, n int64, write bool, fn func(any, error), arg any) {
 
 	ss := a.members[0].Geometry().SectorSize
 	nm := int64(len(a.members))
+	// Byte-striping: member i holds bytes i, i+nm, i+2nm, ... so a range
+	// of the logical volume maps to the same sector range on every
+	// member.
 	memberOff := off / nm
 	memberLen := (n + nm - 1) / nm
 	sector := memberOff / ss
@@ -423,6 +348,8 @@ func (a *Array) doCall(off, n int64, write bool, fn func(any, error), arg any) {
 	if degraded && !write {
 		a.DegradedReads++
 		a.emit(trace.DegradedRead, off, n)
+		// The controller XORs the survivors' data with parity to
+		// resynthesize the dead member's share.
 		recon = sim.Seconds(float64(count*ss) / a.reconBW)
 	}
 

@@ -17,7 +17,7 @@ func BenchmarkSequentialStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Read((int64(i)*64)%max, 8)
+		readSig(d, (int64(i)*64)%max, 8)
 		if i%1024 == 1023 {
 			b.StopTimer()
 			if err := k.Run(); err != nil {
@@ -42,7 +42,7 @@ func BenchmarkSCANQueue(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Read(rng.Int63n(max), 4)
+		readSig(d, rng.Int63n(max), 4)
 		if i%512 == 511 {
 			b.StopTimer()
 			if err := k.Run(); err != nil {

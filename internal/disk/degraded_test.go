@@ -10,22 +10,22 @@ import (
 func TestKillFailsQueuedAndFutureRequests(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, "d0", testGeo(), FIFO)
-	first := d.Read(0, 8)     // enters service at t=0
-	queued := d.Read(4096, 8) // still queued when the drive dies
-	var late *sim.Signal
+	first := readSig(d, 0, 8)      // enters service at t=0
+	queued := readSig(d, 4096, 8)  // still queued when the drive dies
 	k.At(sim.Millisecond, func() { // mid-service of the first request
 		d.Kill()
-		if !queued.Fired() {
-			t.Error("queued request not failed synchronously by Kill")
-		}
-		var de *Error
-		if err := queued.Err(); !errors.As(err, &de) {
-			t.Errorf("queued request error = %v, want *disk.Error", err)
-		}
-		late = d.Read(0, 8)
-		if late.Err() == nil {
-			t.Error("submit to a dead disk did not fail")
-		}
+		late := readSig(d, 0, 8)
+		// Both failures are booked at the Kill instant, ahead of this
+		// check.
+		k.After(0, func() {
+			var de *Error
+			if err := queued.Err(); !queued.Fired() || !errors.As(err, &de) {
+				t.Errorf("queued request fired %v with %v at Kill, want a *disk.Error", queued.Fired(), err)
+			}
+			if !late.Fired() || late.Err() == nil {
+				t.Error("submit to a dead disk did not fail at once")
+			}
+		})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestDegradedReadReconstructsFromParity(t *testing.T) {
 		if degraded {
 			a.FailMember(2)
 		}
-		done := a.Read(0, 64<<10)
+		done := arrayReadSig(a, 0, 64<<10)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestDegradedWriteSkipsDeadMember(t *testing.T) {
 	k := sim.NewKernel()
 	a := NewArray(k, "raid", 4, testGeo(), FIFO, 0)
 	a.FailMember(0)
-	done := a.Write(0, 64<<10)
+	done := arrayWriteSig(a, 0, 64<<10)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestNoParityMakesMemberLossFatal(t *testing.T) {
 	a := NewArray(k, "raid", 4, testGeo(), FIFO, 0)
 	a.SetParity(false)
 	a.FailMember(1)
-	done := a.Read(0, 64<<10)
+	done := arrayReadSig(a, 0, 64<<10)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRebuildPromotesSpare(t *testing.T) {
 	g := testGeo()
 	a := NewArray(k, "raid", 4, g, FIFO, 0)
 	// Touch some data so the rebuild has a high-water mark to copy to.
-	a.Write(0, 256<<10)
+	arrayWriteSig(a, 0, 256<<10)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestRebuildPromotesSpare(t *testing.T) {
 		t.Fatalf("rebuild did no work: IOs=%d Bytes=%d", a.RebuildIOs, a.RebuildBytes)
 	}
 	// The promoted spare serves reads: the array is healthy again.
-	done := a.Read(0, 64<<10)
+	done := arrayReadSig(a, 0, 64<<10)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRebuildGapTradesTimeForBandwidth(t *testing.T) {
 	doneAt := func(gap sim.Time) sim.Time {
 		k := sim.NewKernel()
 		a := NewArray(k, "raid", 4, g, FIFO, 0)
-		a.Write(0, 1<<20)
+		arrayWriteSig(a, 0, 1<<20)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}

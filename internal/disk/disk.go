@@ -150,21 +150,16 @@ func (s Sched) String() string {
 }
 
 // Request is one disk I/O. Reads and writes cost the same in this model.
-// Completion is reported one of two ways: through the Done signal, or —
-// for hot paths that keep their state in pooled structs — through OnDone,
-// which is scheduled as a pooled-args event (see sim.Kernel.AfterCallErr)
-// so the whole submit/complete round trip allocates nothing. When OnDone
-// is set, Done is left nil and never allocated.
+// Completion is reported through OnDone, which is scheduled as a
+// pooled-args event (see sim.Kernel.AfterCallErr), so the whole
+// submit/complete round trip allocates nothing.
 type Request struct {
 	Sector int64 // starting logical sector
 	Count  int64 // sectors to transfer
 	Write  bool
-	Done   *sim.Signal // fired when the transfer completes (nil with OnDone)
 
-	// OnDone, if non-nil, is scheduled as OnDone(DoneArg, err) at the
-	// completion instant instead of firing Done. The timing and event
-	// accounting are identical to a Done signal with one registered
-	// callback.
+	// OnDone is scheduled as OnDone(DoneArg, err) at the completion
+	// instant.
 	OnDone  func(any, error)
 	DoneArg any
 
@@ -354,22 +349,15 @@ func (d *Disk) Kill() {
 	d.queue = d.queue[:0]
 }
 
-// complete reports a request's completion through whichever channel it
-// carries. The OnDone form schedules exactly one zero-delay event, the
-// same schedule a Done signal with one callback produces, so the two
-// forms are interchangeable without perturbing the event fingerprint.
+// complete books the request's OnDone as one zero-delay event.
 func (d *Disk) complete(req *Request, err error) {
-	if req.OnDone != nil {
-		d.k.AfterCallErr(0, req.OnDone, req.DoneArg, err)
-		return
-	}
-	req.Done.Fire(err)
+	d.k.AfterCallErr(0, req.OnDone, req.DoneArg, err)
 }
 
 // Dead reports whether the drive has been killed.
 func (d *Disk) Dead() bool { return d.dead }
 
-// Submit enqueues a request; req.Done fires when it completes. A request
+// Submit enqueues a request; req.OnDone runs when it completes. A request
 // extending past the end of the disk panics: the layer above sized the
 // volume wrong. A request reaching an idle drive books one zero-delay
 // diskStart; one reaching a busy drive, or an idle one whose start is
@@ -388,9 +376,6 @@ func (d *Disk) enqueue(req *Request) bool {
 		(req.Sector+req.Count)*d.geo.SectorSize > d.geo.Capacity() {
 		panic(fmt.Sprintf("disk: request [%d,+%d) outside disk", req.Sector, req.Count))
 	}
-	if req.Done == nil && req.OnDone == nil {
-		req.Done = sim.NewSignal(d.k)
-	}
 	if d.dead {
 		d.Errors++
 		d.PermanentErrors++
@@ -401,21 +386,6 @@ func (d *Disk) enqueue(req *Request) bool {
 	d.QueueLen.Observe(float64(len(d.queue)))
 	d.queue = append(d.queue, req)
 	return true
-}
-
-// Read is a convenience wrapper: submit a read of count sectors at sector
-// and return its completion signal.
-func (d *Disk) Read(sector, count int64) *sim.Signal {
-	req := &Request{Sector: sector, Count: count, Done: sim.NewSignal(d.k)}
-	d.Submit(req)
-	return req.Done
-}
-
-// Write is the write-side convenience wrapper.
-func (d *Disk) Write(sector, count int64) *sim.Signal {
-	req := &Request{Sector: sector, Count: count, Write: true, Done: sim.NewSignal(d.k)}
-	d.Submit(req)
-	return req.Done
 }
 
 // diskStart wakes an idle drive. A request that arrives while the drive

@@ -22,6 +22,32 @@ func testGeo() Geometry {
 	}
 }
 
+// fireSig is a completion callback that fires the signal carried as
+// its arg, so a test can wait on or inspect an I/O after the fact.
+func fireSig(v any, err error) { v.(*sim.Signal).Fire(err) }
+
+// readSig submits a read of count sectors at sector to d and returns a
+// signal fired at its completion.
+func readSig(d *Disk, sector, count int64) *sim.Signal {
+	sig := sim.NewSignal(d.k)
+	d.Submit(&Request{Sector: sector, Count: count, OnDone: fireSig, DoneArg: sig})
+	return sig
+}
+
+// arrayReadSig is readSig for an array's ReadCall.
+func arrayReadSig(a *Array, off, n int64) *sim.Signal {
+	sig := sim.NewSignal(a.k)
+	a.ReadCall(off, n, fireSig, sig)
+	return sig
+}
+
+// arrayWriteSig is readSig for an array's WriteCall.
+func arrayWriteSig(a *Array, off, n int64) *sim.Signal {
+	sig := sim.NewSignal(a.k)
+	a.WriteCall(off, n, fireSig, sig)
+	return sig
+}
+
 func TestGeometryCapacity(t *testing.T) {
 	g := testGeo()
 	want := int64(512 * 64 * 8 * 1000)
@@ -92,7 +118,7 @@ func TestSeekTimeMatchesNewton(t *testing.T) {
 func TestSingleRead(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, "d0", testGeo(), FIFO)
-	done := d.Read(0, 64)
+	done := readSig(d, 0, 64)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +138,9 @@ func TestSequentialSkipsPositioning(t *testing.T) {
 	k := sim.NewKernel()
 	g := testGeo()
 	d := New(k, "d0", g, FIFO)
-	first := d.Read(0, 64)
-	second := d.Read(64, 64)  // exactly where the first ended
-	third := d.Read(1000, 64) // elsewhere: must re-position
+	first := readSig(d, 0, 64)
+	second := readSig(d, 64, 64)  // exactly where the first ended
+	third := readSig(d, 1000, 64) // elsewhere: must re-position
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +158,8 @@ func TestSequentialSkipsPositioning(t *testing.T) {
 func TestFIFOOrder(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, "d0", testGeo(), FIFO)
-	far := d.Read(400000, 8) // far cylinder, submitted first
-	near := d.Read(8, 8)     // near cylinder, submitted second
+	far := readSig(d, 400000, 8) // far cylinder, submitted first
+	near := readSig(d, 8, 8)     // near cylinder, submitted second
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +175,9 @@ func TestSCANReorders(t *testing.T) {
 	sectorsPerCyl := g.SectorsPerTrack * g.Heads
 	// While the first request is in service, queue one far and one near;
 	// SCAN should serve the near one first despite arrival order.
-	_ = d.Read(0, 8)
-	far := d.Read(900*sectorsPerCyl, 8)
-	near := d.Read(10*sectorsPerCyl, 8)
+	_ = readSig(d, 0, 8)
+	far := readSig(d, 900*sectorsPerCyl, 8)
+	near := readSig(d, 10*sectorsPerCyl, 8)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +194,7 @@ func TestSCANServesEverything(t *testing.T) {
 	var sigs []*sim.Signal
 	max := g.Capacity()/g.SectorSize - 16
 	for i := 0; i < 50; i++ {
-		sigs = append(sigs, d.Read(rng.Int63n(max), 8))
+		sigs = append(sigs, readSig(d, rng.Int63n(max), 8))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -186,7 +212,7 @@ func TestSCANServesEverything(t *testing.T) {
 func TestUtilizationTracked(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, "d0", testGeo(), FIFO)
-	d.Read(0, 64)
+	readSig(d, 0, 64)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +256,7 @@ func TestServiceLowerBound(t *testing.T) {
 			count := int64(1 + rng.Intn(256))
 			sector := rng.Int63n(g.Capacity()/g.SectorSize - count)
 			total += count
-			sigs = append(sigs, d.Read(sector, count))
+			sigs = append(sigs, readSig(d, sector, count))
 		}
 		if err := k.Run(); err != nil {
 			return false
@@ -250,7 +276,7 @@ func TestArrayStripesAcrossMembers(t *testing.T) {
 	k := sim.NewKernel()
 	g := testGeo()
 	a := NewArray(k, "raid", 4, g, FIFO, sim.Millisecond)
-	done := a.Read(0, 256<<10) // 256 KiB
+	done := arrayReadSig(a, 0, 256<<10) // 256 KiB
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +296,7 @@ func TestArrayFasterThanSingleDisk(t *testing.T) {
 	timeFor := func(members int) sim.Time {
 		k := sim.NewKernel()
 		a := NewArray(k, "raid", members, g, FIFO, 0)
-		done := a.Read(0, 1<<20)
+		done := arrayReadSig(a, 0, 1<<20)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +320,7 @@ func TestArraySequentialStreamsAtMediaRate(t *testing.T) {
 	var last *sim.Signal
 	k.Go("reader", func(p *sim.Proc) {
 		for i := int64(0); i < 32; i++ {
-			last = a.Read(i*chunk, chunk)
+			last = arrayReadSig(a, i*chunk, chunk)
 			last.Wait(p)
 		}
 	})
@@ -317,7 +343,7 @@ func TestArrayBadRequestPanics(t *testing.T) {
 				t.Error("oversized array read did not panic")
 			}
 		}()
-		a.Read(a.Capacity()-10, 100)
+		arrayReadSig(a, a.Capacity()-10, 100)
 	}()
 }
 
@@ -378,7 +404,6 @@ type diskOp struct {
 	at            sim.Time
 	sector, count int64
 	write         bool
-	signal        bool // report through a Done signal rather than OnDone
 }
 
 // diffSchedule draws a seeded submission schedule: idle gaps long
@@ -397,7 +422,7 @@ func diffSchedule(seed int64, g Geometry) (ops []diskOp, kill sim.Time) {
 		}
 		for n := 1 + rng.Intn(5); n > 0; n-- {
 			op := diskOp{at: now, sector: rng.Int63n(max), count: 1 + rng.Int63n(63),
-				write: rng.Intn(4) == 0, signal: rng.Intn(2) == 0}
+				write: rng.Intn(4) == 0}
 			if l := len(ops); l > 0 && rng.Intn(3) == 0 && ops[l-1].sector+ops[l-1].count+op.count <= max {
 				op.sector = ops[l-1].sector + ops[l-1].count
 			}
@@ -455,13 +480,7 @@ func runDiffSchedule(t *testing.T, ref bool, sched Sched, fp FaultProfile, ops [
 			}
 			out.done = append(out.done, o)
 		}
-		req := &Request{Sector: op.sector, Count: op.count, Write: op.write}
-		if op.signal {
-			req.Done = sim.NewSignal(k)
-			req.Done.OnFireCall(record, nil)
-		} else {
-			req.OnDone = record
-		}
+		req := &Request{Sector: op.sector, Count: op.count, Write: op.write, OnDone: record}
 		k.At(op.at, func() { submit(req) })
 	}
 	k.At(kill, func() {

@@ -11,7 +11,7 @@ func TestFaultInjectionAlwaysFails(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, "d0", testGeo(), FIFO)
 	d.InjectFaults(1, 1)
-	done := d.Read(0, 8)
+	done := readSig(d, 0, 8)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestFaultInjectionDisabledByDefault(t *testing.T) {
 	d := New(k, "d0", testGeo(), FIFO)
 	var sigs []*sim.Signal
 	for i := int64(0); i < 50; i++ {
-		sigs = append(sigs, d.Read(i*8, 8))
+		sigs = append(sigs, readSig(d, i*8, 8))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 		d.InjectFaults(0.3, 99)
 		var sigs []*sim.Signal
 		for i := int64(0); i < 40; i++ {
-			sigs = append(sigs, d.Read(i*8, 8))
+			sigs = append(sigs, readSig(d, i*8, 8))
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func TestTransientFaultRecoversOnReread(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, "d0", testGeo(), FIFO)
 	d.InjectFaultProfile(FaultProfile{Rate: 1, TransientFrac: 1, Seed: 3})
-	first := d.Read(0, 8)
+	first := readSig(d, 0, 8)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTransientFaultRecoversOnReread(t *testing.T) {
 		t.Fatalf("first read err = %v, want transient *disk.Error", first.Err())
 	}
 	// The re-read of the faulted sector must succeed even at rate 1.
-	second := d.Read(0, 8)
+	second := readSig(d, 0, 8)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestTransientFaultRecoversOnReread(t *testing.T) {
 		t.Fatalf("re-read of transiently faulted sector failed: %v", second.Err())
 	}
 	// A third read is a fresh draw again: at rate 1 it faults.
-	third := d.Read(0, 8)
+	third := readSig(d, 0, 8)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPermanentFaultPinsSector(t *testing.T) {
 	d := New(k, "d0", testGeo(), FIFO)
 	d.InjectFaultProfile(FaultProfile{Rate: 1, PermanentFrac: 1, Seed: 3})
 	for i := 0; i < 3; i++ {
-		done := d.Read(0, 8)
+		done := readSig(d, 0, 8)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestPermanentFaultPinsSector(t *testing.T) {
 		t.Fatalf("PermanentErrors = %d, Errors = %d, want 3, 3", d.PermanentErrors, d.Errors)
 	}
 	// A different sector is a fresh draw, classified permanent at rate 1.
-	other := d.Read(512, 8)
+	other := readSig(d, 512, 8)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFaultJitterSlowsAndStaysDeterministic(t *testing.T) {
 		d.InjectFaultProfile(fp)
 		var last *sim.Signal
 		for i := int64(0); i < 20; i++ {
-			last = d.Read(i*8, 8)
+			last = readSig(d, i*8, 8)
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -177,8 +177,8 @@ func TestFaultJitterSlowsAndStaysDeterministic(t *testing.T) {
 	dA.InjectFaultProfile(FaultProfile{Rate: 0.5, TransientFrac: 1, Seed: 11})
 	dB.InjectFaultProfile(FaultProfile{Rate: 0.5, TransientFrac: 1, Jitter: 0.5, Seed: 11})
 	for i := int64(0); i < 20; i++ {
-		dA.Read(i*8, 8)
-		dB.Read(i*8, 8)
+		readSig(dA, i*8, 8)
+		readSig(dB, i*8, 8)
 	}
 	if err := kA.Run(); err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestArrayPropagatesMemberFault(t *testing.T) {
 	k := sim.NewKernel()
 	a := NewArray(k, "raid", 4, testGeo(), FIFO, 0)
 	a.Members()[2].InjectFaults(1, 7)
-	done := a.Read(0, 64<<10)
+	done := arrayReadSig(a, 0, 64<<10)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ const (
 	failMember                           // FailMember
 	failAndRebuild                       // FailMember, then StartRebuild
 	injectFaults                         // Members()[i].InjectFaults
-	signalForm                           // a signal-form Read or Write
 	numLockstepActions
 )
 
@@ -31,7 +30,6 @@ type arrayOpSpec struct {
 	at     sim.Time
 	off, n int64
 	write  bool
-	signal bool // the signal-form Read/Write instead of ReadCall/WriteCall
 }
 
 // lockstepSchedule is a seeded array workload plus the divergence that
@@ -84,13 +82,6 @@ func lockstepScheduleFor(seed int64) lockstepSchedule {
 		s.at, s.late = b+lockstepOverhead, true
 	default:
 		s.at = b + lockstepOverhead + 1 + sim.Time(rng.Int63n(int64(5*sim.Millisecond)))
-	}
-	if s.action != noDivergence {
-		for i := range s.ops {
-			if s.ops[i].at > s.at && rng.Intn(2) == 0 {
-				s.ops[i].signal = true
-			}
-		}
 	}
 	return s
 }
@@ -158,14 +149,9 @@ func runLockstep(t *testing.T, perMember bool, sched Sched, seed int64, s lockst
 		out.done = append(out.done, o)
 	}
 	submit := func(i int, op arrayOpSpec) {
-		switch {
-		case op.signal && op.write:
-			a.Write(op.off, op.n).OnFireCall(record, i)
-		case op.signal:
-			a.Read(op.off, op.n).OnFireCall(record, i)
-		case op.write:
+		if op.write {
 			a.WriteCall(op.off, op.n, record, i)
-		default:
+		} else {
 			a.ReadCall(op.off, op.n, record, i)
 		}
 	}
@@ -184,8 +170,6 @@ func runLockstep(t *testing.T, perMember bool, sched Sched, seed int64, s lockst
 			a.StartRebuild(RebuildPolicy{Chunk: 256 << 10, Gap: sim.Millisecond})
 		case injectFaults:
 			a.Members()[s.member].InjectFaults(0.3, seed)
-		case signalForm:
-			submit(len(s.ops), arrayOpSpec{off: s.ops[0].off, n: s.ops[0].n, write: s.member%2 == 0, signal: true})
 		}
 	}
 	if s.late {
@@ -226,8 +210,8 @@ func runLockstep(t *testing.T, perMember bool, sched Sched, seed int64, s lockst
 
 // TestLockstepMatchesPerMember: on seeded schedules under every
 // scheduling policy, a healthy array served in lockstep — and unlocked
-// mid-run by FailMember, StartRebuild, a member's InjectFaults or a
-// signal-form request — completes every request at the same instant, in
+// mid-run by FailMember, StartRebuild or a member's InjectFaults —
+// completes every request at the same instant, in
 // the same order and with the same error as the same array driven member
 // by member, and leaves every member with the same counters.
 func TestLockstepMatchesPerMember(t *testing.T) {
@@ -239,9 +223,6 @@ func TestLockstepMatchesPerMember(t *testing.T) {
 			want := runLockstep(t, true, sched, seed, s, nil)
 			got := runLockstep(t, false, sched, seed, s, &cov)
 			n := len(s.ops)
-			if s.action == signalForm {
-				n++
-			}
 			if len(want.done) != n {
 				t.Fatalf("%v seed %d: the per-member array completed %d of %d requests", sched, seed, len(want.done), n)
 			}

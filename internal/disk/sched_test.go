@@ -30,12 +30,12 @@ func schedOrder(t *testing.T, sched Sched, cylinders []int64) []int64 {
 	var order []int64
 	// Pin the head with a first request at cylinder 500, then queue the
 	// rest while it is in service so the policy chooses from cur=500.
-	d.Read(500*sectorsPerCyl, 4)
+	readSig(d, 500*sectorsPerCyl, 4)
 	k.After(sim.Millisecond, func() {
 		for _, c := range cylinders {
 			c := c
-			sig := d.Read(c*sectorsPerCyl, 4)
-			sig.OnFire(func(error) { order = append(order, c) })
+			sig := readSig(d, c*sectorsPerCyl, 4)
+			sig.OnFireCall(func(any, error) { order = append(order, c) }, nil)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -79,8 +79,8 @@ func TestAllPoliciesComplete(t *testing.T) {
 		served := 0
 		max := g.Capacity()/g.SectorSize - 8
 		for i := 0; i < n; i++ {
-			sig := d.Read(rng.Int63n(max), 4)
-			sig.OnFire(func(error) { served++ })
+			sig := readSig(d, rng.Int63n(max), 4)
+			sig.OnFireCall(func(any, error) { served++ }, nil)
 		}
 		if err := k.Run(); err != nil {
 			return false
@@ -101,7 +101,7 @@ func TestSSTFSeeksLessThanFIFO(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		max := g.Capacity()/g.SectorSize - 8
 		for i := 0; i < 60; i++ {
-			d.Read(rng.Int63n(max), 4)
+			readSig(d, rng.Int63n(max), 4)
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package ionode
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -16,7 +17,7 @@ func TestCrashDropsInFlightAndRestartServes(t *testing.T) {
 	duringDownReplied := false
 	var afterErr error = errors.New("never replied")
 	k.At(0, func() {
-		s.Read(0, "stripe", 0, 64<<10, true, func(error) { inFlightReplied = true })
+		readReply(s, "stripe", 0, 64<<10, true, func(error) { inFlightReplied = true })
 	})
 	k.At(sim.Millisecond, func() { s.Crash(50 * sim.Millisecond) })
 	k.At(10*sim.Millisecond, func() {
@@ -26,11 +27,11 @@ func TestCrashDropsInFlightAndRestartServes(t *testing.T) {
 		if s.DownUntil() != 50*sim.Millisecond {
 			t.Errorf("DownUntil = %v, want 50ms", s.DownUntil())
 		}
-		s.Read(0, "stripe", 0, 64<<10, true, func(error) { duringDownReplied = true })
+		readReply(s, "stripe", 0, 64<<10, true, func(error) { duringDownReplied = true })
 	})
 	k.At(50*sim.Millisecond, func() { s.Restart() })
 	k.At(60*sim.Millisecond, func() {
-		s.Read(0, "stripe", 0, 64<<10, true, func(err error) { afterErr = err })
+		readReply(s, "stripe", 0, 64<<10, true, func(err error) { afterErr = err })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -57,6 +58,60 @@ func TestCrashDropsInFlightAndRestartServes(t *testing.T) {
 	}
 }
 
+// TestCrashDropsFairQueue: with the fair scheduler armed, a crash drops
+// the request in service (at its disk completion, by epoch) and the two
+// queued behind it (at the crash, by the queue drain). No reply runs,
+// each request is counted once in Dropped and once in its tenant's
+// TenantDropped, and after Restart a new read is admitted and served, so
+// no service slot leaked.
+func TestCrashDropsFairQueue(t *testing.T) {
+	k, _, s := rig(t)
+	s.SetFairPolicy(FairPolicy{Tenants: 2, Slots: 1})
+	h, err := s.FS().Lookup("stripe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies := 0
+	countReply := func(any, error) { replies++ }
+	k.At(0, func() {
+		s.ReadCall(0, 0, h, 0, 64<<10, true, countReply, nil)
+		s.ReadCall(0, 1, h, 64<<10, 64<<10, true, countReply, nil)
+		s.ReadCall(0, 0, h, 128<<10, 64<<10, true, countReply, nil)
+	})
+	k.At(5*sim.Millisecond, func() {
+		if snap := s.FairSnapshot(); snap.InService != 1 || snap.QueueLen != 2 {
+			t.Fatalf("before the crash: %d in service, %d queued; want 1 and 2", snap.InService, snap.QueueLen)
+		}
+		s.Crash(50 * sim.Millisecond)
+	})
+	k.At(50*sim.Millisecond, func() { s.Restart() })
+	var afterErr error = errors.New("never replied")
+	k.At(60*sim.Millisecond, func() {
+		s.ReadCall(0, 1, h, 0, 64<<10, true, func(_ any, err error) { afterErr = err }, nil)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if replies != 0 {
+		t.Errorf("%d replies across the crash, want none", replies)
+	}
+	if s.Dropped != 3 {
+		t.Errorf("Dropped = %d, want 3", s.Dropped)
+	}
+	if want := []int64{2, 1}; !slices.Equal(s.TenantDropped, want) {
+		t.Errorf("TenantDropped = %v, want %v", s.TenantDropped, want)
+	}
+	if afterErr != nil {
+		t.Errorf("read after restart: %v", afterErr)
+	}
+	if want := []int64{0, 1}; !slices.Equal(s.TenantServed, want) {
+		t.Errorf("TenantServed = %v, want %v", s.TenantServed, want)
+	}
+	if snap := s.FairSnapshot(); snap.InService != 0 || snap.QueueLen != 0 {
+		t.Errorf("after the run: %d in service, %d queued; want none", snap.InService, snap.QueueLen)
+	}
+}
+
 // tripBreaker arms the shed policy, makes every disk request fail, and
 // runs two reads far enough apart to complete, tripping the breaker.
 // Returns the collected reply errors (appended as replies arrive).
@@ -69,7 +124,7 @@ func tripBreaker(t *testing.T, k *sim.Kernel, s *Server) *[]error {
 	errs := &[]error{}
 	read := func(at sim.Time) {
 		k.At(at, func() {
-			s.Read(0, "stripe", 0, 64<<10, true, func(err error) { *errs = append(*errs, err) })
+			readReply(s, "stripe", 0, 64<<10, true, func(err error) { *errs = append(*errs, err) })
 		})
 	}
 	read(0)
@@ -90,7 +145,7 @@ func TestBreakerHalfOpenProbeSuccessCloses(t *testing.T) {
 	afterErr = errors.New("no reply")
 	// Inside the cooldown (breaker opened ≈220 ms, deadline ≈320 ms).
 	k.At(250*sim.Millisecond, func() {
-		s.Read(0, "stripe", 0, 64<<10, true, func(err error) { shedErr = err })
+		readReply(s, "stripe", 0, 64<<10, true, func(err error) { shedErr = err })
 	})
 	// Heal the disks so the probe can succeed.
 	k.At(300*sim.Millisecond, func() {
@@ -100,20 +155,20 @@ func TestBreakerHalfOpenProbeSuccessCloses(t *testing.T) {
 	})
 	// Past the deadline: this request is the probe...
 	k.At(500*sim.Millisecond, func() {
-		s.Read(0, "stripe", 0, 64<<10, true, func(err error) { probeErr = err })
+		readReply(s, "stripe", 0, 64<<10, true, func(err error) { probeErr = err })
 	})
 	// ...and while it is in flight the breaker stays shut to everyone else.
 	k.At(501*sim.Millisecond, func() {
 		if s.breaker != bHalfOpen {
 			t.Errorf("breaker = %v at probe time, want half-open", s.breaker)
 		}
-		s.Read(0, "stripe", 0, 64<<10, true, func(err error) { secondErr = err })
+		readReply(s, "stripe", 0, 64<<10, true, func(err error) { secondErr = err })
 	})
 	k.At(800*sim.Millisecond, func() {
 		if s.breaker != bClosed {
 			t.Errorf("breaker = %v after successful probe, want closed", s.breaker)
 		}
-		s.Read(0, "stripe", 0, 64<<10, true, func(err error) { afterErr = err })
+		readReply(s, "stripe", 0, 64<<10, true, func(err error) { afterErr = err })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -148,11 +203,11 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	tripBreaker(t, k, s) // disks stay faulty: the probe will fail too
 	var probeErr, shedErr error
 	k.At(500*sim.Millisecond, func() {
-		s.Read(0, "stripe", 0, 64<<10, true, func(err error) { probeErr = err })
+		readReply(s, "stripe", 0, 64<<10, true, func(err error) { probeErr = err })
 	})
 	// The probe fails ≈520 ms, re-opening until ≈620 ms.
 	k.At(560*sim.Millisecond, func() {
-		s.Read(0, "stripe", 0, 64<<10, true, func(err error) { shedErr = err })
+		readReply(s, "stripe", 0, 64<<10, true, func(err error) { shedErr = err })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -183,11 +238,11 @@ func TestBreakerProbeAbortReleasesSlot(t *testing.T) {
 	retryErr = errors.New("no reply")
 	// The probe slot goes to a request for a missing file: no disk verdict.
 	k.At(500*sim.Millisecond, func() {
-		s.Read(0, "ghost", 0, 64<<10, true, func(err error) { badErr = err })
+		readReply(s, "ghost", 0, 64<<10, true, func(err error) { badErr = err })
 	})
 	// The slot must be free again: this read probes and closes the breaker.
 	k.At(600*sim.Millisecond, func() {
-		s.Read(0, "stripe", 0, 64<<10, true, func(err error) { retryErr = err })
+		readReply(s, "stripe", 0, 64<<10, true, func(err error) { retryErr = err })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -280,78 +280,13 @@ func (s *Server) noteDisk(failed, probe bool) {
 	}
 }
 
-// maybeShed fast-fails the request with ErrOverloaded while the breaker
-// is open. Must run on the server CPU (inside onCPU).
-func (s *Server) maybeShed(from int, reply func(error)) (shed, probe bool) {
-	shed, probe = s.admit()
-	if shed {
-		s.Shed++
-		s.m.Send(s.node, from, 64, func() { reply(ErrOverloaded) })
-	}
-	return shed, probe
-}
-
-// Read serves a stripe read: n bytes at off of local file name, on behalf
-// of compute node from. reply runs on the requester when the data has
-// been delivered (or immediately-ish with an error for a bad request).
-// Must be called in simulation context at this node — normally from a
-// mesh delivery callback.
-func (s *Server) Read(from int, name string, off, n int64, fastPath bool, reply func(error)) {
-	if s.down {
-		s.Dropped++
-		return
-	}
-	s.Requests++
-	start := s.k.Now()
-	epoch := s.epoch
-	s.onCPU(func() {
-		if s.epoch != epoch {
-			s.Dropped++
-			return
-		}
-		shed, probe := s.maybeShed(from, reply)
-		if shed {
-			return
-		}
-		sig, err := s.fs.Read(name, off, n, ufs.ReadOptions{FastPath: fastPath})
-		if err != nil {
-			if probe {
-				s.probeAbort()
-			}
-			// Error replies are small control messages.
-			s.m.Send(s.node, from, 64, func() { reply(err) })
-			return
-		}
-		sig.OnFire(func(ioErr error) {
-			if s.epoch != epoch {
-				// The node crashed while the disk worked. The data (or
-				// error) belongs to a dead incarnation: no reply, no
-				// accounting.
-				s.Dropped++
-				return
-			}
-			s.noteDisk(ioErr != nil, probe)
-			if ioErr != nil {
-				s.Faults++
-				s.m.Send(s.node, from, 64, func() { reply(ioErr) })
-				return
-			}
-			s.BytesServed += n
-			s.m.Send(s.node, from, n, func() {
-				s.Service.ObserveTime(s.k.Now() - start)
-				reply(nil)
-			})
-		})
-	})
-}
-
-// srvOp is the pooled bookkeeping of one ReadCall: everything the legacy
-// Read captured in closures. An op travels the whole request chain —
-// dispatch CPU, disk completion, reply delivery — as the arg of
-// pooled-args events, and returns to the free list when the reply runs
-// (or when an epoch check discards the request). Ops whose reply message
-// is dropped by the mesh are simply garbage collected; the pool is an
-// optimization, not an accounting mechanism.
+// srvOp is the pooled bookkeeping of one request (a ReadCall, WriteCall
+// or Prefetch hint). An op travels the whole request chain — dispatch
+// CPU, disk completion, reply delivery — as the arg of pooled-args
+// events, and returns to the free list when the reply runs (or when an
+// epoch check discards the request). Ops whose reply message is dropped
+// by the mesh are simply garbage collected; the pool is an optimization,
+// not an accounting mechanism.
 type srvOp struct {
 	s        *Server
 	from     int
@@ -391,12 +326,14 @@ func (s *Server) putOp(op *srvOp) {
 	s.opFree = append(s.opFree, op)
 }
 
-// ReadCall is the pooled-args form of Read, for the steady-state stripe
-// path: the file arrives as a resolved ufs.Handle and the reply as a
-// callback-plus-arg pair, so serving the request constructs no closures.
-// Dispatch, shedding, epoch discard, accounting, and reply timing are
-// identical to Read. tenant attributes the request for the fair
-// scheduler; it is ignored (pass 0) when no FairPolicy is armed.
+// ReadCall serves a stripe read: n bytes at off of the file h refers to,
+// on behalf of compute node from. The reply arrives as a callback-plus-arg
+// pair, so serving the request constructs no closures: reply(arg, err)
+// runs on the requester when the data has been delivered (or with an
+// error for a bad or shed request). Must be called in simulation context
+// at this node — normally from a mesh delivery callback. tenant
+// attributes the request for the fair scheduler; it is ignored (pass 0)
+// when no FairPolicy is armed.
 func (s *Server) ReadCall(from, tenant int, h ufs.Handle, off, n int64, fastPath bool, reply func(any, error), arg any) {
 	if s.down {
 		s.Dropped++
@@ -432,8 +369,7 @@ func srvReadCPU(v any) {
 		if s.fq != nil {
 			s.TenantShed[op.tenant]++
 		}
-		op.err = ErrOverloaded
-		s.m.SendCall(s.node, op.from, 64, srvReplyErr, op)
+		s.replyErr(op, ErrOverloaded)
 		return
 	}
 	op.probe = probe
@@ -448,8 +384,7 @@ func srvReadCPU(v any) {
 		s.Throttled++
 		s.TenantShed[op.tenant]++
 		s.emit(trace.QoSShed, op.n)
-		op.err = ErrThrottled
-		s.m.SendCall(s.node, op.from, 64, srvReplyErr, op)
+		s.replyErr(op, ErrThrottled)
 		return
 	}
 	s.fq.push(op)
@@ -471,9 +406,7 @@ func (s *Server) startDisk(op *srvOp) {
 		if s.fq != nil {
 			s.TenantFaulted[op.tenant]++
 		}
-		// Error replies are small control messages.
-		op.err = err
-		s.m.SendCall(s.node, op.from, 64, srvReplyErr, op)
+		s.replyErr(op, err)
 	}
 }
 
@@ -507,8 +440,7 @@ func srvDiskDone(v any, ioErr error) {
 	}
 	if ioErr != nil {
 		s.Faults++
-		op.err = ioErr
-		s.m.SendCall(s.node, op.from, 64, srvReplyErr, op)
+		s.replyErr(op, ioErr)
 	} else {
 		s.BytesServed += op.n
 		s.m.SendCall(s.node, op.from, op.n, srvReplyData, op)
@@ -516,6 +448,12 @@ func srvDiskDone(v any, ioErr error) {
 	if wasQueued {
 		s.pumpFair()
 	}
+}
+
+// replyErr sends op's error reply, a small control message.
+func (s *Server) replyErr(op *srvOp, err error) {
+	op.err = err
+	s.m.SendCall(s.node, op.from, 64, srvReplyErr, op)
 }
 
 // srvReplyErr delivers an error reply on the requester.
@@ -526,8 +464,8 @@ func srvReplyErr(v any) {
 	reply(arg, err)
 }
 
-// srvReplyData delivers the data reply on the requester and closes out
-// the service-time measurement.
+// srvReplyData delivers the data reply (or a write's ack) on the
+// requester and closes out the service-time measurement.
 func srvReplyData(v any) {
 	op := v.(*srvOp)
 	s := op.s
@@ -537,98 +475,118 @@ func srvReplyData(v any) {
 	reply(arg, nil)
 }
 
-// Prefetch warms the node's buffer cache with [off, off+n) of local file
-// name without shipping data anywhere: the server-side prefetch
+// Prefetch warms the node's buffer cache with [off, off+n) of the file h
+// refers to without shipping data anywhere: the server-side prefetch
 // placement. Fire-and-forget — errors on a speculative read are dropped.
-func (s *Server) Prefetch(name string, off, n int64) {
+func (s *Server) Prefetch(h ufs.Handle, off, n int64) {
 	if s.down {
 		s.Dropped++
 		return
 	}
 	s.PrefetchHints++
-	epoch := s.epoch
-	s.onCPU(func() {
-		if s.epoch != epoch {
-			s.Dropped++
-			return
-		}
-		if s.Shedding(s.k.Now()) {
-			s.Shed++
-			return // no reply to drop: hints are one-way
-		}
-		sig, err := s.fs.Read(name, off, n, ufs.ReadOptions{FastPath: false})
-		if err != nil {
-			return
-		}
-		// Even a speculative read's outcome is evidence about disk health.
-		sig.OnFire(func(ioErr error) {
-			if s.epoch != epoch {
-				return
-			}
-			s.noteDisk(ioErr != nil, false)
-		})
-	})
+	op := s.getOp()
+	op.h, op.off, op.n = h, off, n
+	op.epoch = s.epoch
+	s.onCPUCall(srvHintCPU, op)
 }
 
-// Write serves a stripe write of n bytes at off of local file name. The
-// data travelled with the request (the caller charged the mesh for it);
-// the reply is a small acknowledgement.
-func (s *Server) Write(from int, name string, off, n int64, reply func(error)) {
+// srvHintCPU runs a hint on the server CPU. A shedding server drops it:
+// there is no reply to send, hints are one-way.
+func srvHintCPU(v any) {
+	op := v.(*srvOp)
+	s := op.s
+	if s.epoch != op.epoch {
+		s.Dropped++
+		s.putOp(op)
+		return
+	}
+	if s.Shedding(s.k.Now()) {
+		s.Shed++
+		s.putOp(op)
+		return
+	}
+	if err := s.fs.ReadCall(op.h, op.off, op.n, ufs.ReadOptions{}, srvHintDone, op); err != nil {
+		s.putOp(op)
+	}
+}
+
+// srvHintDone feeds the breaker: even a speculative read's outcome is
+// evidence about disk health.
+func srvHintDone(v any, ioErr error) {
+	op := v.(*srvOp)
+	s := op.s
+	if s.epoch == op.epoch {
+		s.noteDisk(ioErr != nil, false)
+	}
+	s.putOp(op)
+}
+
+// WriteCall serves a stripe write of n bytes at off of the file h refers
+// to. The data travelled with the request (the caller charged the mesh
+// for it); the reply is a small acknowledgement. Writes pass breaker
+// admission and the epoch guard like reads, but bypass the fair
+// scheduler: no queue, no token bucket, no per-tenant counters.
+func (s *Server) WriteCall(from int, h ufs.Handle, off, n int64, reply func(any, error), arg any) {
 	if s.down {
 		s.Dropped++
 		return
 	}
 	s.Requests++
-	start := s.k.Now()
-	epoch := s.epoch
-	s.onCPU(func() {
-		if s.epoch != epoch {
-			s.Dropped++
-			return
-		}
-		shed, probe := s.maybeShed(from, reply)
-		if shed {
-			return
-		}
-		sig, err := s.fs.Write(name, off, n)
-		if err != nil {
-			if probe {
-				s.probeAbort()
-			}
-			s.m.Send(s.node, from, 64, func() { reply(err) })
-			return
-		}
-		sig.OnFire(func(ioErr error) {
-			if s.epoch != epoch {
-				s.Dropped++
-				return
-			}
-			s.noteDisk(ioErr != nil, probe)
-			if ioErr != nil {
-				s.Faults++
-				s.m.Send(s.node, from, 64, func() { reply(ioErr) })
-				return
-			}
-			s.BytesServed += n
-			s.m.Send(s.node, from, 64, func() {
-				s.Service.ObserveTime(s.k.Now() - start)
-				reply(nil)
-			})
-		})
-	})
+	op := s.getOp()
+	op.from, op.h, op.off, op.n = from, h, off, n
+	op.reply, op.replyArg = reply, arg
+	op.start = s.k.Now()
+	op.epoch = s.epoch
+	s.onCPUCall(srvWriteCPU, op)
 }
 
-// onCPU serializes fn behind the server's dispatch CPU clock.
-func (s *Server) onCPU(fn func()) {
-	start := s.k.Now()
-	if s.cpuFree > start {
-		start = s.cpuFree
+// srvWriteCPU runs a write on the server CPU: breaker admission, then
+// straight to the disk.
+func srvWriteCPU(v any) {
+	op := v.(*srvOp)
+	s := op.s
+	if s.epoch != op.epoch {
+		s.Dropped++
+		s.putOp(op)
+		return
 	}
-	s.cpuFree = start + s.dispatch
-	s.k.At(s.cpuFree, fn)
+	shed, probe := s.admit()
+	if shed {
+		s.Shed++
+		s.replyErr(op, ErrOverloaded)
+		return
+	}
+	op.probe = probe
+	if err := s.fs.WriteCall(op.h, op.off, op.n, srvWriteDone, op); err != nil {
+		if probe {
+			s.probeAbort()
+		}
+		s.replyErr(op, err)
+	}
 }
 
-// onCPUCall is onCPU for pooled-args callbacks.
+// srvWriteDone runs when the write is on disk and sends the ack.
+func srvWriteDone(v any, ioErr error) {
+	op := v.(*srvOp)
+	s := op.s
+	if s.epoch != op.epoch {
+		// The node crashed while the disk worked: no reply, no
+		// accounting.
+		s.Dropped++
+		s.putOp(op)
+		return
+	}
+	s.noteDisk(ioErr != nil, op.probe)
+	if ioErr != nil {
+		s.Faults++
+		s.replyErr(op, ioErr)
+		return
+	}
+	s.BytesServed += op.n
+	s.m.SendCall(s.node, op.from, 64, srvReplyData, op)
+}
+
+// onCPUCall serializes fn(arg) behind the server's dispatch CPU clock.
 func (s *Server) onCPUCall(fn func(any), arg any) {
 	start := s.k.Now()
 	if s.cpuFree > start {

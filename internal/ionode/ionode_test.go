@@ -24,6 +24,29 @@ func rig(t *testing.T) (*sim.Kernel, *mesh.Mesh, *Server) {
 	return k, m, New(k, m, 3, fs, 300*sim.Microsecond)
 }
 
+// callReply adapts a func(error) reply, carried as arg, to the
+// callback form.
+func callReply(v any, err error) { v.(func(error))(err) }
+
+// readReply issues a ReadCall from node 0 for local file name (an
+// invalid handle when it does not exist) and hands the outcome to reply.
+func readReply(s *Server, name string, off, n int64, fastPath bool, reply func(error)) {
+	h, _ := s.FS().Lookup(name)
+	s.ReadCall(0, 0, h, off, n, fastPath, callReply, reply)
+}
+
+// writeReply is readReply for WriteCall.
+func writeReply(s *Server, name string, off, n int64, reply func(error)) {
+	h, _ := s.FS().Lookup(name)
+	s.WriteCall(0, h, off, n, callReply, reply)
+}
+
+// hint sends the server a Prefetch hint for local file name.
+func hint(s *Server, name string, off, n int64) {
+	h, _ := s.FS().Lookup(name)
+	s.Prefetch(h, off, n)
+}
+
 func TestReadRoundTrip(t *testing.T) {
 	k, m, s := rig(t)
 	var done bool
@@ -31,7 +54,7 @@ func TestReadRoundTrip(t *testing.T) {
 	// Simulate a client at node 0 sending a request, then the server
 	// replying.
 	m.Send(0, 3, 128, func() {
-		s.Read(0, "stripe", 0, 64<<10, true, func(err error) {
+		readReply(s, "stripe", 0, 64<<10, true, func(err error) {
 			if err != nil {
 				t.Errorf("reply err: %v", err)
 			}
@@ -61,7 +84,7 @@ func TestReadErrorReply(t *testing.T) {
 	k, _, s := rig(t)
 	var got error
 	k.At(0, func() {
-		s.Read(0, "missing", 0, 64<<10, true, func(err error) { got = err })
+		readReply(s, "missing", 0, 64<<10, true, func(err error) { got = err })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -78,7 +101,7 @@ func TestWriteRoundTrip(t *testing.T) {
 	k, _, s := rig(t)
 	var done bool
 	k.At(0, func() {
-		s.Write(0, "stripe", 0, 64<<10, func(err error) {
+		writeReply(s, "stripe", 0, 64<<10, func(err error) {
 			if err != nil {
 				t.Errorf("write reply err: %v", err)
 			}
@@ -91,6 +114,9 @@ func TestWriteRoundTrip(t *testing.T) {
 	if !done {
 		t.Fatal("write reply never arrived")
 	}
+	if s.Requests != 1 || s.BytesServed != 64<<10 || s.Service.N() != 1 {
+		t.Fatalf("Requests=%d BytesServed=%d service samples=%d", s.Requests, s.BytesServed, s.Service.N())
+	}
 }
 
 func TestDispatchSerializes(t *testing.T) {
@@ -99,7 +125,7 @@ func TestDispatchSerializes(t *testing.T) {
 	k.At(0, func() {
 		for i := 0; i < 4; i++ {
 			off := int64(i) * (64 << 10)
-			s.Read(0, "stripe", off, 64<<10, true, func(err error) {
+			readReply(s, "stripe", off, 64<<10, true, func(err error) {
 				if err != nil {
 					t.Errorf("reply err: %v", err)
 				}
@@ -128,7 +154,7 @@ func TestConcurrentRequestsShareDisk(t *testing.T) {
 	k.At(0, func() {
 		for i := 0; i < 4; i++ {
 			off := int64(i) * (64 << 10)
-			s.Read(0, "stripe", off, 64<<10, true, func(err error) { last = k.Now() })
+			readReply(s, "stripe", off, 64<<10, true, func(err error) { last = k.Now() })
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -142,7 +168,7 @@ func TestConcurrentRequestsShareDisk(t *testing.T) {
 
 func TestPrefetchHintWarmsCache(t *testing.T) {
 	k, _, s := rig(t)
-	s.Prefetch("stripe", 0, 64<<10)
+	hint(s, "stripe", 0, 64<<10)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +178,7 @@ func TestPrefetchHintWarmsCache(t *testing.T) {
 	// A buffered read of the hinted range now hits the cache.
 	var when sim.Time
 	k.At(k.Now(), func() {
-		s.Read(0, "stripe", 0, 64<<10, false, func(err error) {
+		readReply(s, "stripe", 0, 64<<10, false, func(err error) {
 			if err != nil {
 				t.Errorf("reply err: %v", err)
 			}
@@ -174,8 +200,8 @@ func TestPrefetchHintWarmsCache(t *testing.T) {
 
 func TestPrefetchHintBadRangeIsDropped(t *testing.T) {
 	k, _, s := rig(t)
-	s.Prefetch("ghost", 0, 64<<10)  // missing file
-	s.Prefetch("stripe", 1<<30, 64) // out of range
+	hint(s, "ghost", 0, 64<<10)  // missing file
+	hint(s, "stripe", 1<<30, 64) // out of range
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +215,7 @@ func coldSingleReadTime(t *testing.T) sim.Time {
 	k, _, s := rig(t)
 	var when sim.Time
 	k.At(0, func() {
-		s.Read(0, "stripe", 0, 64<<10, true, func(error) { when = k.Now() })
+		readReply(s, "stripe", 0, 64<<10, true, func(error) { when = k.Now() })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

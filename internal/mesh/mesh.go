@@ -216,9 +216,9 @@ func occupy(free *sim.Time, arrival sim.Time, dur sim.Time) sim.Time {
 // the destination when the tail of the message (and the receiver software
 // overhead) has arrived. It returns the delivery time. Send itself does
 // not consume sender CPU time; callers that model a blocking sender should
-// sleep SendOverhead around the call (see Transfer).
+// sleep SendOverhead around the call.
 func (m *Mesh) Send(src, dst int, size int64, deliver func()) sim.Time {
-	deliveredAt, delivered := m.transitAt(m.k.Now(), m.cfg.SendOverhead, src, dst, size)
+	deliveredAt, delivered := m.transitAt(m.k.Now(), src, dst, size)
 	if delivered && deliver != nil {
 		m.k.At(deliveredAt, deliver)
 	}
@@ -230,7 +230,7 @@ func (m *Mesh) Send(src, dst int, size int64, deliver func()) sim.Time {
 // closure constructed, making the whole send allocation-free. Routing,
 // timing, accounting, and drop behavior are identical to Send.
 func (m *Mesh) SendCall(src, dst int, size int64, deliver func(any), arg any) sim.Time {
-	deliveredAt, delivered := m.transitAt(m.k.Now(), m.cfg.SendOverhead, src, dst, size)
+	deliveredAt, delivered := m.transitAt(m.k.Now(), src, dst, size)
 	if delivered && deliver != nil {
 		m.k.AtCall(deliveredAt, deliver, arg)
 	}
@@ -239,10 +239,8 @@ func (m *Mesh) SendCall(src, dst int, size int64, deliver func(any), arg any) si
 
 // transitAt routes a message sent at now, advances the port and link
 // clocks, and records the measurement. delivered is false when the
-// destination is down and the delivery callback must not run. sendOH is
-// the sender software overhead to charge (zero when the sender already
-// paid it, see Transfer).
-func (m *Mesh) transitAt(now sim.Time, sendOH sim.Time, src, dst int, size int64) (deliveredAt sim.Time, delivered bool) {
+// destination is down and the delivery callback must not run.
+func (m *Mesh) transitAt(now sim.Time, src, dst int, size int64) (deliveredAt sim.Time, delivered bool) {
 	if src < 0 || src >= m.Nodes() || dst < 0 || dst >= m.Nodes() {
 		panic(fmt.Sprintf("mesh: send %d->%d outside %d-node mesh", src, dst, m.Nodes()))
 	}
@@ -256,7 +254,7 @@ func (m *Mesh) transitAt(now sim.Time, sendOH sim.Time, src, dst int, size int64
 	nicXfer := bytesTime(size, m.cfg.NICBandwidth)
 
 	// Software initiation, then the injection port.
-	headAt := now + sendOH
+	headAt := now + m.cfg.SendOverhead
 	start := occupy(&m.injectFree[src], headAt, nicXfer)
 
 	// The head advances one hop per HopLatency; each link is held for the
@@ -299,20 +297,6 @@ func (m *Mesh) transitAt(now sim.Time, sendOH sim.Time, src, dst int, size int64
 		return deliveredAt, false
 	}
 	return deliveredAt, true
-}
-
-// Transfer is the blocking-process form of Send: the calling process pays
-// the sender software overhead, the message is injected, and a Signal is
-// returned that fires at delivery on the destination. The overhead was
-// already paid by the sleeping process, so the transit charges none.
-func (m *Mesh) Transfer(p *sim.Proc, src, dst int, size int64) *sim.Signal {
-	p.Sleep(m.cfg.SendOverhead)
-	done := sim.NewSignal(m.k)
-	deliveredAt, delivered := m.transitAt(m.k.Now(), 0, src, dst, size)
-	if delivered {
-		m.k.At(deliveredAt, func() { done.Fire(nil) })
-	}
-	return done
 }
 
 // bytesTime converts a byte count at a bandwidth to a duration.

@@ -143,33 +143,6 @@ func TestLinkContention(t *testing.T) {
 	}
 }
 
-func TestTransferBlocksSender(t *testing.T) {
-	k := sim.NewKernel()
-	cfg := testConfig()
-	m := New(k, cfg)
-	var sendReturned, delivered sim.Time
-	k.Go("sender", func(p *sim.Proc) {
-		s := m.Transfer(p, 0, 5, 64<<10)
-		sendReturned = p.Now()
-		if err := s.Wait(p); err != nil {
-			t.Errorf("Wait: %v", err)
-		}
-		delivered = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sendReturned != cfg.SendOverhead {
-		t.Fatalf("Transfer returned at %v, want %v", sendReturned, cfg.SendOverhead)
-	}
-	if delivered <= sendReturned {
-		t.Fatalf("delivery %v not after initiation %v", delivered, sendReturned)
-	}
-	if m.cfg.SendOverhead != cfg.SendOverhead {
-		t.Fatal("Transfer corrupted SendOverhead")
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	k := sim.NewKernel()
 	m := New(k, testConfig())

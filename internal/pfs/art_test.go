@@ -36,7 +36,7 @@ func TestARTPostsOneAtATime(t *testing.T) {
 		if got := r.k.Pending() - before; got != wantEvents {
 			t.Errorf("request %d booked %d events, want %d", i, got, wantEvents)
 		}
-		a.Done.OnFire(func(error) { fired[i]++; order = append(order, i) })
+		a.Done.OnFireCall(func(any, error) { fired[i]++; order = append(order, i) }, nil)
 		reqs = append(reqs, a)
 	}
 	enqueue(1) // the idle thread is woken once

@@ -522,8 +522,9 @@ func (f *File) HintAt(off, n int64) error {
 	for _, pc := range decluster(off, n, f.meta.su, len(f.meta.group)) {
 		pc := pc
 		srv := f.fsys.servers[f.meta.group[pc.server]]
+		h := f.meta.handles[pc.server]
 		f.fsys.m.Send(f.node, srv.Node(), f.fsys.cfg.RequestBytes, func() {
-			srv.Prefetch(f.meta.localName(), pc.localOff, pc.n)
+			srv.Prefetch(h, pc.localOff, pc.n)
 		})
 	}
 	return nil

@@ -527,7 +527,7 @@ func TestARTFIFOAndCompletion(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			i := i
 			a := f.IReadAt(int64(i)*256<<10, 256<<10)
-			a.Done.OnFire(func(error) { order = append(order, i) })
+			a.Done.OnFireCall(func(any, error) { order = append(order, i) }, nil)
 			reqs = append(reqs, a)
 		}
 		if f.AsyncIssued() != 4 {

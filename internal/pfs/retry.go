@@ -192,21 +192,18 @@ func (fsys *FileSystem) sendAttempt(at *pieceAttempt) {
 	fsys.m.SendCall(at.node, srv.Node(), reqBytes, attemptDeliver, at)
 }
 
-// attemptDeliver runs on the I/O node when the request message arrives.
-// Reads ride the fully pooled server path; writes keep the legacy server
-// entry point (the paper evaluates reads — writes are cold).
+// attemptDeliver runs on the I/O node when the request message arrives
+// and hands the piece to the server's pooled read or write path.
 func attemptDeliver(v any) {
 	at := v.(*pieceAttempt)
 	fsys := at.fsys
 	srv := fsys.servers[at.meta.group[at.pc.server]]
+	h := at.meta.handles[at.pc.server]
 	if at.write {
-		srv.Write(at.node, at.meta.localName(), at.pc.localOff, at.pc.n, func(err error) {
-			pieceReply(at, err)
-		})
+		srv.WriteCall(at.node, h, at.pc.localOff, at.pc.n, pieceReply, at)
 		return
 	}
-	srv.ReadCall(at.node, at.tenant, at.meta.handles[at.pc.server], at.pc.localOff, at.pc.n,
-		fsys.cfg.FastPath, pieceReply, at)
+	srv.ReadCall(at.node, at.tenant, h, at.pc.localOff, at.pc.n, fsys.cfg.FastPath, pieceReply, at)
 }
 
 // pieceReply runs on the requesting node when the attempt's reply lands.

@@ -310,12 +310,14 @@ func (st *adaptState) allowIssue() bool {
 // ewma folds a new observation into an exponential average (the first
 // observation seeds it). Seeding is decided by the sample count alone: a
 // legitimately observed zero (back-to-back reads have a zero compute
-// gap) is an average like any other, not an unseeded state.
+// gap) is an average like any other, not an unseeded state. The explicit
+// float64 conversions round each product, so no architecture may fuse the
+// sum into one multiply-add and drift from amd64.
 func ewma(cur, obs float64, samples int) float64 {
 	if samples == 0 {
 		return obs
 	}
-	return (1-adaptAlpha)*cur + adaptAlpha*obs
+	return float64((1-adaptAlpha)*cur) + float64(adaptAlpha*obs)
 }
 
 // OnClose frees the file's prefetch buffers. A completed buffer still on

@@ -1,17 +1,10 @@
 package sim
 
-// sigCallback is one registered completion callback. The legacy OnFire
-// form is stored through the same pooled-args shape as OnFireCall —
-// callFireFn unwraps the func(error) from arg — so Fire schedules every
-// callback without constructing a closure.
+// sigCallback is one registered completion callback (see OnFireCall).
 type sigCallback struct {
 	cfn func(any, error)
 	arg any
 }
-
-// callFireFn adapts a legacy OnFire func(error) (carried as arg) to the
-// pooled-args callback shape.
-func callFireFn(a any, err error) { a.(func(error))(err) }
 
 // Signal is a one-shot completion event. Processes wait on it; once fired
 // (at most once), all current and future waiters proceed immediately.
@@ -74,19 +67,11 @@ func (s *Signal) Fire(err error) {
 	s.callbacks = s.callbacks[:0]
 }
 
-// OnFire registers fn to run (in event context, at the firing instant)
-// when the signal fires; if it already fired, fn is scheduled immediately.
-func (s *Signal) OnFire(fn func(error)) {
-	if s.fired {
-		s.k.AfterCallErr(0, callFireFn, fn, s.err)
-		return
-	}
-	s.callbacks = append(s.callbacks, sigCallback{cfn: callFireFn, arg: fn})
-}
-
-// OnFireCall is OnFire without the closure: fn(arg, err) runs at the
-// firing instant. Like the kernel's AfterCallErr it exists for hot paths
-// that keep their state in pooled structs.
+// OnFireCall registers fn(arg, err) to run (in event context, at the
+// firing instant) when the signal fires; if it already fired, it is
+// scheduled immediately. Like the kernel's AfterCallErr it takes its
+// state as arg, so callers that keep their state in pooled structs
+// construct no closure.
 func (s *Signal) OnFireCall(fn func(any, error), arg any) {
 	if s.fired {
 		s.k.AfterCallErr(0, fn, arg, s.err)

@@ -159,7 +159,9 @@ func Generate(seed int64) Scenario {
 	// deterministic fault streams; of the rest, ~1 in 6 becomes a chaos
 	// scenario: transient faults the retry layer must fully absorb.
 	if rng.Intn(8) == 0 {
-		sc.Cfg.DiskFaultRate = 0.01 + 0.1*rng.Float64()
+		// float64() rounds the product: no architecture may fuse it
+		// into a multiply-add and draw a different rate than amd64.
+		sc.Cfg.DiskFaultRate = 0.01 + float64(0.1*rng.Float64())
 		sc.Cfg.FaultSeed = seed
 		sc.Faulty = true
 	} else if rng.Intn(6) == 0 {
@@ -174,7 +176,7 @@ func Generate(seed int64) Scenario {
 // transient-fault contract, so the full oracle set (minus monotonicity)
 // must hold.
 func armChaos(sc *Scenario, rng *rand.Rand) {
-	sc.Cfg.DiskFaultRate = 0.01 + 0.04*rng.Float64() // <= 0.05
+	sc.Cfg.DiskFaultRate = 0.01 + float64(0.04*rng.Float64()) // <= 0.05; unfused, see Generate
 	sc.Cfg.DiskFaultTransientFrac = 1
 	sc.Cfg.FaultSeed = sc.Seed
 	sc.Cfg.DiskFaultJitter = pick(rng, 0.0, 0.0, 0.2, 0.5)

@@ -123,22 +123,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.samples[i]
 }
 
-// Stddev reports the population standard deviation, or 0 with fewer than
-// two samples.
-func (h *Histogram) Stddev() float64 {
-	n := len(h.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := h.Mean()
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Fingerprint digests the sample multiset (FNV-64a over the sorted raw
 // bit patterns). Two histograms fed the same samples — in any order —
 // fingerprint equal; any numeric difference, however small, does not.

@@ -19,13 +19,13 @@ func TestCrashResetFailsInFlightFills(t *testing.T) {
 	if err := fs.Create("f", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Read("f", 0, 64<<10, ReadOptions{}); err != nil {
+	if _, err := readSig(fs, "f", 0, 64<<10, ReadOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var waiter *sim.Signal
 	k.After(500*sim.Microsecond, func() { // piggybacks on the fill in flight
 		var err error
-		waiter, err = fs.Read("f", 0, 64<<10, ReadOptions{})
+		waiter, err = readSig(fs, "f", 0, 64<<10, ReadOptions{})
 		if err != nil {
 			t.Error(err)
 		}
@@ -46,7 +46,7 @@ func TestCrashResetFailsInFlightFills(t *testing.T) {
 	// The orphaned disk completion must not have cached the block: the
 	// re-read goes to disk again.
 	opsBefore := fs.DiskOps
-	s2, err := fs.Read("f", 0, 64<<10, ReadOptions{})
+	s2, err := readSig(fs, "f", 0, 64<<10, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCrashResetDropsCache(t *testing.T) {
 	if err := fs.Create("f", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Read("f", 0, 64<<10, ReadOptions{}); err != nil {
+	if _, err := readSig(fs, "f", 0, 64<<10, ReadOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Run(); err != nil {
@@ -77,7 +77,7 @@ func TestCrashResetDropsCache(t *testing.T) {
 	}
 	fs.CrashReset()
 	opsBefore := fs.DiskOps
-	s, err := fs.Read("f", 0, 64<<10, ReadOptions{})
+	s, err := readSig(fs, "f", 0, 64<<10, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCrashResetStaleFillDoesNotCorruptNewFill(t *testing.T) {
 	if err := fs.Create("f", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Read("f", 0, 64<<10, ReadOptions{}); err != nil {
+	if _, err := readSig(fs, "f", 0, 64<<10, ReadOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var s2 *sim.Signal
@@ -111,7 +111,7 @@ func TestCrashResetStaleFillDoesNotCorruptNewFill(t *testing.T) {
 		// Immediately re-read the same block: a fresh fill for the key the
 		// orphaned completion will soon try to settle.
 		var err error
-		s2, err = fs.Read("f", 0, 64<<10, ReadOptions{})
+		s2, err = readSig(fs, "f", 0, 64<<10, ReadOptions{})
 		if err != nil {
 			t.Error(err)
 		}
@@ -126,7 +126,7 @@ func TestCrashResetStaleFillDoesNotCorruptNewFill(t *testing.T) {
 		t.Fatalf("DiskOps = %d, want 2 (orphaned fill + fresh fill)", fs.DiskOps)
 	}
 	// And the fresh fill really did populate the cache.
-	s3, err := fs.Read("f", 0, 64<<10, ReadOptions{})
+	s3, err := readSig(fs, "f", 0, 64<<10, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestConcurrentReadsShareOneFill(t *testing.T) {
 	if err := fs.Create("f", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	s1, err := fs.Read("f", 0, 64<<10, ReadOptions{})
+	s1, err := readSig(fs, "f", 0, 64<<10, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestConcurrentReadsShareOneFill(t *testing.T) {
 	// Issue the second read 1 ms in — well inside the first fill.
 	k.After(sim.Millisecond, func() {
 		var err error
-		s2, err = fs.Read("f", 0, 64<<10, ReadOptions{})
+		s2, err = readSig(fs, "f", 0, 64<<10, ReadOptions{})
 		if err != nil {
 			t.Error(err)
 		}
@@ -53,14 +53,14 @@ func TestResidencyOnlyAfterFill(t *testing.T) {
 	if err := fs.Create("f", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Read("f", 0, 64<<10, ReadOptions{}); err != nil {
+	if _, err := readSig(fs, "f", 0, 64<<10, ReadOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Block 0 is resident only now that its fill completed.
-	s, err := fs.Read("f", 0, 64<<10, ReadOptions{})
+	s, err := readSig(fs, "f", 0, 64<<10, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,13 @@ func TestFailedFillLeavesNoResidue(t *testing.T) {
 	for i, d := range a.Members() {
 		d.InjectFaults(1, int64(i))
 	}
-	s1, err := fs.Read("f", 0, 64<<10, ReadOptions{})
+	s1, err := readSig(fs, "f", 0, 64<<10, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var s2 *sim.Signal
 	k.After(sim.Millisecond, func() {
-		s2, _ = fs.Read("f", 0, 64<<10, ReadOptions{})
+		s2, _ = readSig(fs, "f", 0, 64<<10, ReadOptions{})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestFailedFillLeavesNoResidue(t *testing.T) {
 		d.InjectFaults(0, 0)
 	}
 	opsBefore := fs.DiskOps
-	s3, err := fs.Read("f", 0, 64<<10, ReadOptions{})
+	s3, err := readSig(fs, "f", 0, 64<<10, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,20 +129,20 @@ func TestWriteInvalidatesCache(t *testing.T) {
 	if err := fs.Create("f", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Read("f", 0, 64<<10, ReadOptions{}); err != nil {
+	if _, err := readSig(fs, "f", 0, 64<<10, ReadOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Write("f", 0, 64<<10); err != nil {
+	if _, err := writeSig(fs, "f", 0, 64<<10); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	opsBefore := fs.DiskOps
-	if _, err := fs.Read("f", 0, 64<<10, ReadOptions{}); err != nil {
+	if _, err := readSig(fs, "f", 0, 64<<10, ReadOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Run(); err != nil {

@@ -261,15 +261,11 @@ type ReadOptions struct {
 	FastPath bool
 }
 
-// readOp is the pooled bookkeeping of one read: what the legacy
-// implementation captured in closures (staging cost, copy bytes, the
-// countdown over disk runs and pending fills) lives here instead, so the
-// steady-state read path schedules only pooled-args events. Completion is
-// dual-mode: ops from the legacy Read carry sig and fire it directly at
-// the delivery instant (one event, exactly like the old closure chain);
-// ops from ReadCall carry fn/arg and schedule the callback as its own
-// event (also one event — the callback takes the place of the signal's
-// single consumer).
+// readOp is the pooled bookkeeping of one read: the staging cost, copy
+// bytes, and the countdown over disk runs and pending fills live here
+// instead of in closures, so the read path schedules only pooled-args
+// events. Completion schedules fn(arg, err) as its own event at the
+// delivery instant. A write borrows an op for its countdown over runs.
 type readOp struct {
 	fs        *FS
 	v         *vnode
@@ -278,8 +274,7 @@ type readOp struct {
 	remaining int
 	firstErr  error
 
-	sig *sim.Signal      // legacy Read: fired at delivery
-	fn  func(any, error) // ReadCall: scheduled at delivery
+	fn  func(any, error) // scheduled at delivery
 	arg any
 
 	// Scratch storage reused across ops.
@@ -317,7 +312,6 @@ func (fs *FS) putReadOp(op *readOp) {
 	op.copyBytes = 0
 	op.remaining = 0
 	op.firstErr = nil
-	op.sig = nil
 	op.fn = nil
 	op.arg = nil
 	op.missBlocks = op.missBlocks[:0]
@@ -335,32 +329,14 @@ func (fs *FS) putReadOp(op *readOp) {
 	fs.opFree = append(fs.opFree, op)
 }
 
-// Read starts a read of n bytes at offset off from file name and returns
-// a signal fired when the data is available at the I/O node (transfer to
-// the requesting compute node is the caller's business). Reads past EOF
-// are an error, as in the real PFS where file sizes were established at
-// write time.
-func (fs *FS) Read(name string, off, n int64, opt ReadOptions) (*sim.Signal, error) {
-	h, err := fs.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	op := fs.getReadOp()
-	op.v = h.v
-	op.sig = sim.NewSignal(fs.k)
-	done := op.sig
-	if err := fs.read(op, off, n, opt); err != nil {
-		fs.putReadOp(op)
-		return nil, err
-	}
-	return done, nil
-}
-
-// ReadCall is the callback form of Read on a resolved handle: fn(arg,
-// err) runs (as its own event, at the delivery instant) when the data is
-// available at the I/O node. No signal, closure, or name lookup is
-// constructed on the path. A non-nil return reports a synchronous
-// validation failure; fn does not run.
+// ReadCall starts a read of n bytes at offset off of the file h refers
+// to: fn(arg, err) runs (as its own event, at the delivery instant) when
+// the data is available at the I/O node — transfer to the requesting
+// compute node is the caller's business. No signal, closure, or name
+// lookup is constructed on the path. Reads past EOF are an error, as in
+// the real PFS where file sizes were established at write time. A
+// non-nil return reports a synchronous validation failure; fn does not
+// run.
 func (fs *FS) ReadCall(h Handle, off, n int64, opt ReadOptions, fn func(any, error), arg any) error {
 	if h.v == nil {
 		return errors.New("ufs: read through invalid handle")
@@ -376,8 +352,8 @@ func (fs *FS) ReadCall(h Handle, off, n int64, opt ReadOptions, fn func(any, err
 	return nil
 }
 
-// read is the shared body of Read and ReadCall: validate, charge staging,
-// classify blocks against the cache, and issue the coalesced disk runs.
+// read is the body of ReadCall: validate, charge staging, classify
+// blocks against the cache, and issue the coalesced disk runs.
 // On error the caller recycles op; otherwise the op is consumed by its
 // completion events.
 func (fs *FS) read(op *readOp, off, n int64, opt ReadOptions) error {
@@ -525,65 +501,65 @@ func (op *readOp) finish(err error) {
 	fs.k.AfterCallErr(fs.cpuFree-fs.k.Now(), readOpDeliver, op, err)
 }
 
-// readOpDeliver runs at the delivery instant and hands the result to the
-// op's consumer: the signal is fired in place (its consumers schedule
-// from there, exactly like the legacy closure), or the ReadCall callback
-// is scheduled as its own event.
+// readOpDeliver runs at the delivery instant and schedules the
+// ReadCall callback as its own event.
 func readOpDeliver(v any, err error) {
 	op := v.(*readOp)
 	fs := op.fs
-	if op.sig != nil {
-		sig := op.sig
-		fs.putReadOp(op)
-		sig.Fire(err)
-		return
-	}
 	fn, arg := op.fn, op.arg
 	fs.putReadOp(op)
 	fs.k.AfterCallErr(0, fn, arg, err)
 }
 
-// Write starts a write of n bytes at offset off. The model is
-// write-through (the paper evaluates reads only; writes exist so that
-// workloads can build their input files in simulated time when desired).
-func (fs *FS) Write(name string, off, n int64) (*sim.Signal, error) {
-	v, ok := fs.files[name]
-	if !ok {
-		return nil, fmt.Errorf("ufs: %s does not exist", name)
+// WriteCall starts a write of n bytes at offset off of the file h refers
+// to; fn(arg, err) runs as its own event when the last coalesced run is
+// on disk. The model is write-through (the paper evaluates reads only;
+// writes exist so that workloads can build their input files in
+// simulated time when desired). A non-nil return reports a synchronous
+// validation failure; fn does not run.
+func (fs *FS) WriteCall(h Handle, off, n int64, fn func(any, error), arg any) error {
+	v := h.v
+	if v == nil {
+		return errors.New("ufs: write through invalid handle")
 	}
 	if off < 0 || n <= 0 || off+n > v.size {
-		return nil, fmt.Errorf("ufs: write [%d,+%d) outside %s (%d bytes)", off, n, name, v.size)
+		return fmt.Errorf("ufs: write [%d,+%d) outside %s (%d bytes)", off, n, v.name, v.size)
 	}
+	op := fs.getReadOp()
+	op.fn, op.arg = fn, arg
 	bs := fs.cfg.BlockSize
-	first := off / bs
-	last := (off + n - 1) / bs
-	var blocks []int64
-	for b := first; b <= last; b++ {
-		blocks = append(blocks, v.blocks[b])
+	for b := off / bs; b <= (off+n-1)/bs; b++ {
+		op.missBlocks = append(op.missBlocks, v.blocks[b])
 		// Write-through invalidation: a stale cached copy must not serve
 		// later reads.
 		if fs.cache != nil {
-			fs.cache.remove(blockKey{name, b})
+			fs.cache.remove(blockKey{v.name, b})
 		}
 	}
-	runs := coalesce(blocks)
-	fs.DiskOps += int64(len(runs))
-	done := sim.NewSignal(fs.k)
-	remaining := len(runs)
-	var firstErr error
-	for _, r := range runs {
-		sig := fs.array.Write(r.start*bs, r.count*bs)
-		sig.OnFire(func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			remaining--
-			if remaining == 0 {
-				done.Fire(firstErr)
-			}
-		})
+	op.runs = coalesceInto(op.runs[:0], op.missBlocks)
+	fs.DiskOps += int64(len(op.runs))
+	op.remaining = len(op.runs)
+	for _, r := range op.runs {
+		fs.array.WriteCall(r.start*bs, r.count*bs, writeOpRunDone, op)
 	}
-	return done, nil
+	return nil
+}
+
+// writeOpRunDone counts down one written run; the last books the
+// WriteCall callback as one zero-delay event.
+func writeOpRunDone(v any, err error) {
+	op := v.(*readOp)
+	if err != nil && op.firstErr == nil {
+		op.firstErr = err
+	}
+	op.remaining--
+	if op.remaining > 0 {
+		return
+	}
+	fs := op.fs
+	fn, arg, err := op.fn, op.arg, op.firstErr
+	fs.putReadOp(op)
+	fs.k.AfterCallErr(0, fn, arg, err)
 }
 
 // run is a contiguous extent of disk blocks.
@@ -592,16 +568,11 @@ type run struct {
 	count int64
 }
 
-// coalesce merges an ordered list of disk block numbers into contiguous
-// runs. Input order is preserved (file order), so only adjacent
-// contiguity merges — matching what a real block-coalescing read path can
-// do while streaming.
-func coalesce(blocks []int64) []run {
-	return coalesceInto(nil, blocks)
-}
-
-// coalesceInto is coalesce appending into caller-provided storage, so the
-// hot read path reuses one runs slice per operation.
+// coalesceInto merges an ordered list of disk block numbers into
+// contiguous runs, appended to runs so an operation reuses its storage.
+// Input order is preserved (file order), so only adjacent contiguity
+// merges — matching what a real block-coalescing read path can do while
+// streaming.
 func coalesceInto(runs []run, blocks []int64) []run {
 	for _, b := range blocks {
 		if len(runs) > 0 && runs[len(runs)-1].start+runs[len(runs)-1].count == b {

@@ -20,6 +20,37 @@ func noFragConfig() Config {
 	return cfg
 }
 
+// fireSig is a completion callback that fires the signal carried as
+// its arg, so a test can wait on or inspect an I/O after the fact.
+func fireSig(v any, err error) { v.(*sim.Signal).Fire(err) }
+
+// readSig looks name up and starts a ReadCall on it, returning a signal
+// fired from the callback.
+func readSig(fs *FS, name string, off, n int64, opt ReadOptions) (*sim.Signal, error) {
+	h, err := fs.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	sig := sim.NewSignal(fs.k)
+	if err := fs.ReadCall(h, off, n, opt, fireSig, sig); err != nil {
+		return nil, err
+	}
+	return sig, nil
+}
+
+// writeSig is readSig for WriteCall.
+func writeSig(fs *FS, name string, off, n int64) (*sim.Signal, error) {
+	h, err := fs.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	sig := sim.NewSignal(fs.k)
+	if err := fs.WriteCall(h, off, n, fireSig, sig); err != nil {
+		return nil, err
+	}
+	return sig, nil
+}
+
 func TestCreateAndSize(t *testing.T) {
 	k := sim.NewKernel()
 	fs := testFS(k, noFragConfig())
@@ -48,11 +79,11 @@ func TestReadValidation(t *testing.T) {
 		{-1, 10}, {0, 0}, {0, -4}, {128 << 10, 1}, {100 << 10, 100 << 10},
 	}
 	for _, c := range cases {
-		if _, err := fs.Read("f", c.off, c.n, ReadOptions{}); err == nil {
+		if _, err := readSig(fs, "f", c.off, c.n, ReadOptions{}); err == nil {
 			t.Errorf("Read(%d,%d) succeeded, want error", c.off, c.n)
 		}
 	}
-	if _, err := fs.Read("ghost", 0, 1, ReadOptions{}); err == nil {
+	if _, err := readSig(fs, "ghost", 0, 1, ReadOptions{}); err == nil {
 		t.Error("Read of missing file succeeded")
 	}
 }
@@ -64,7 +95,7 @@ func TestContiguousReadCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 8 blocks, contiguous on disk (no fragmentation): one array request.
-	sig, err := fs.Read("f", 0, 512<<10, ReadOptions{FastPath: true})
+	sig, err := readSig(fs, "f", 0, 512<<10, ReadOptions{FastPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +118,7 @@ func TestFragmentationSplitsRuns(t *testing.T) {
 	if err := fs.Create("f", 512<<10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Read("f", 0, 512<<10, ReadOptions{FastPath: true}); err != nil {
+	if _, err := readSig(fs, "f", 0, 512<<10, ReadOptions{FastPath: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Run(); err != nil {
@@ -104,7 +135,7 @@ func TestCacheHitAvoidsDisk(t *testing.T) {
 	if err := fs.Create("f", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	s1, err := fs.Read("f", 0, 64<<10, ReadOptions{})
+	s1, err := readSig(fs, "f", 0, 64<<10, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +144,7 @@ func TestCacheHitAvoidsDisk(t *testing.T) {
 	}
 	t1 := s1.FiredAt()
 	opsAfterFirst := fs.DiskOps
-	s2, err := fs.Read("f", 0, 64<<10, ReadOptions{})
+	s2, err := readSig(fs, "f", 0, 64<<10, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +172,7 @@ func TestFastPathBypassesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := fs.Read("f", 0, 64<<10, ReadOptions{FastPath: true}); err != nil {
+		if _, err := readSig(fs, "f", 0, 64<<10, ReadOptions{FastPath: true}); err != nil {
 			t.Fatal(err)
 		}
 		if err := k.Run(); err != nil {
@@ -165,7 +196,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := func(block int64) {
-		if _, err := fs.Read("f", block*64<<10, 64<<10, ReadOptions{}); err != nil {
+		if _, err := readSig(fs, "f", block*64<<10, 64<<10, ReadOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := k.Run(); err != nil {
@@ -188,7 +219,7 @@ func TestPartialBlockCostsMore(t *testing.T) {
 		if err := fs.Create("f", 1<<20); err != nil {
 			t.Fatal(err)
 		}
-		sig, err := fs.Read("f", off, n, ReadOptions{FastPath: true})
+		sig, err := readSig(fs, "f", off, n, ReadOptions{FastPath: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +241,7 @@ func TestWrite(t *testing.T) {
 	if err := fs.Create("f", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	sig, err := fs.Write("f", 0, 128<<10)
+	sig, err := writeSig(fs, "f", 0, 128<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +251,10 @@ func TestWrite(t *testing.T) {
 	if !sig.Fired() {
 		t.Fatal("write never completed")
 	}
-	if _, err := fs.Write("f", 1<<20, 1); err == nil {
+	if _, err := writeSig(fs, "f", 1<<20, 1); err == nil {
 		t.Fatal("out-of-range write succeeded")
 	}
-	if _, err := fs.Write("ghost", 0, 1); err == nil {
+	if _, err := writeSig(fs, "ghost", 0, 1); err == nil {
 		t.Fatal("write to missing file succeeded")
 	}
 }
@@ -250,8 +281,8 @@ func TestCoalesce(t *testing.T) {
 		{[]int64{1, 2, 2, 3}, 2}, // duplicate restarts a run, then merges forward
 	}
 	for _, c := range cases {
-		if got := coalesce(c.in); len(got) != c.want {
-			t.Errorf("coalesce(%v) = %d runs, want %d", c.in, len(got), c.want)
+		if got := coalesceInto(nil, c.in); len(got) != c.want {
+			t.Errorf("coalesceInto(%v) = %d runs, want %d", c.in, len(got), c.want)
 		}
 	}
 }
@@ -271,7 +302,7 @@ func TestCoalesceCoversInput(t *testing.T) {
 			cur++
 		}
 		var flat []int64
-		for _, r := range coalesce(blocks) {
+		for _, r := range coalesceInto(nil, blocks) {
 			for i := int64(0); i < r.count; i++ {
 				flat = append(flat, r.start+i)
 			}
@@ -322,7 +353,7 @@ func TestReadDeterminism(t *testing.T) {
 		var last *sim.Signal
 		k.Go("reader", func(p *sim.Proc) {
 			for off := int64(0); off < 4<<20; off += 256 << 10 {
-				sig, err := fs.Read("f", off, 256<<10, ReadOptions{FastPath: true})
+				sig, err := readSig(fs, "f", off, 256<<10, ReadOptions{FastPath: true})
 				if err != nil {
 					t.Error(err)
 					return
