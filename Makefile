@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint bench bench-short benchsuite-test simcheck chaos crash qos-smoke scale-smoke detgate golden ci experiments
+.PHONY: all build test race vet fmt lint bench-short benchsuite-test simcheck chaos crash qos-smoke scale-smoke detgate golden ci experiments
 
 all: build test
 
@@ -16,24 +16,10 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench regenerates BENCH_sweep.json (parallel-sweep speedup + DES
-# hot-path micros), BENCH_run.json (end-to-end golden-scenario
-# throughput), and BENCH_run.scale.json (the 1024x256 scale scenario),
-# measured on THIS machine. Run it on the hardware you are
-# quoting numbers for — both JSONs record num_cpu/gomaxprocs, and a
-# 1-core box can only show ~1x sweep speedup. Commit the refreshed files
-# together with any change that moves the numbers.
-bench:
-	$(GO) run ./cmd/benchsweep -o BENCH_sweep.json
-	$(GO) run ./cmd/runbench -o BENCH_run.json
-	$(GO) run ./cmd/runbench -scenario scale -o BENCH_run.scale.json
-
-# bench-short is the CI smoke variant: one pass over a small grid plus
-# the package micro-benchmarks at -benchtime=1x, just to prove the
-# benchmarks still compile and run.
+# bench-short runs the package micro-benchmarks at -benchtime=1x, just
+# to prove they still compile and run. The performance harness is
+# benchsuite/ (bash benchsuite/run.sh).
 bench-short:
-	$(GO) run ./cmd/benchsweep -short -o /dev/null
-	$(GO) run ./cmd/runbench -short -o /dev/null
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./internal/sim/ ./internal/mesh/ ./internal/sweep/ ./internal/stats/ ./internal/pfs/ ./internal/ionode/
 
 # benchsuite-test runs the benchmark suite's own tests. benchsuite/ is a
@@ -108,9 +94,8 @@ scale-smoke:
 
 # ci reproduces the GitHub Actions pipeline locally: lint, build, race
 # tests, the benchsuite module's tests, the simcheck/chaos/crash/scale/qos
-# smoke sweeps, the determinism/alloc gate, the benchmark smoke, and the
-# benchmark regression gate against the committed baseline (self-skipping
-# when this host's CPU count differs from the baseline's).
+# smoke sweeps, the determinism/alloc gate, the micro-benchmark smoke, and
+# a one-second benchsuite smoke run (not a timing gate).
 ci: fmt vet lint build race benchsuite-test
 	$(GO) run -race ./cmd/simcheck -seeds 25 -parallel 4
 	$(GO) run -race ./cmd/simcheck -chaos -seeds 25 -parallel 4
@@ -122,9 +107,7 @@ ci: fmt vet lint build race benchsuite-test
 	$(GO) run ./cmd/experiments -quick -run ext-scale -parallel 4
 	$(GO) run ./cmd/detgate -allocs
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./internal/sim/ ./internal/mesh/ ./internal/sweep/ ./internal/stats/ ./internal/pfs/ ./internal/ionode/
-	$(GO) run ./cmd/benchsweep -short -o /dev/null
-	$(GO) run ./cmd/runbench -short -o /dev/null
-	$(GO) run ./cmd/runbench -iterations 5 -baseline BENCH_run.json -tolerance 0.85 -o /dev/null
+	bash benchsuite/run.sh --workload paper-balanced --seconds 1 --trace 1 > /dev/null
 	@echo "ci: all gates passed"
 
 experiments:

@@ -39,10 +39,10 @@ func benchExperiment(b *testing.B, id string) {
 		last = t
 	}
 	b.StopTimer()
-	if last == nil || last.NumRows() == 0 {
+	if last == nil || len(last.Rows()) == 0 {
 		b.Fatal("experiment produced no rows")
 	}
-	b.ReportMetric(float64(last.NumRows()), "rows")
+	b.ReportMetric(float64(len(last.Rows())), "rows")
 }
 
 // One benchmark per table and figure in the paper's evaluation.

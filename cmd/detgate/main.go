@@ -30,20 +30,13 @@ import (
 	"strings"
 
 	"repro/internal/scenarios"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // digests runs the scenario once and returns (fingerprint, traceDigest).
 func digests(sc scenarios.Scenario) (uint64, uint64, error) {
-	tl := trace.NewLog(1 << 18)
-	spec := scenarios.QuickstartSpec(tl)
-	if sc.Tweak != nil {
-		sc.Tweak(&spec)
-	}
-	res, err := workload.Run(sc.Config(), spec)
+	res, tl, err := scenarios.Run(sc)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%s run failed: %w", sc.Name, err)
+		return 0, 0, err
 	}
 	if res.Fault.GiveUps != 0 {
 		return 0, 0, fmt.Errorf("%s run exhausted %d retry budget(s) under transient faults", sc.Name, res.Fault.GiveUps)

@@ -2,8 +2,9 @@
 // in the Intel Paragon Parallel File System" (Arunachalam, Choudhary,
 // Rullman; IPPS 1996) as a deterministic discrete-event simulation.
 //
-// Start with internal/core for the programming API, cmd/experiments to
-// regenerate the paper's tables and figures, and DESIGN.md for the system
+// Start with examples/quickstart, which runs a workload.Spec on a
+// machine.DefaultConfig() through workload.Run; cmd/experiments to
+// regenerate the paper's tables and figures; and DESIGN.md for the system
 // inventory. The benchmarks in this package (bench_test.go) time one
 // regeneration of each table and figure:
 //

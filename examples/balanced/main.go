@@ -11,11 +11,16 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/machine"
+	"repro/internal/pfs"
+	"repro/internal/prefetch"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func main() {
-	machine := core.DefaultMachine()
+	cfg := machine.DefaultConfig()
+	pcfg := prefetch.DefaultConfig()
 	delays := []float64{0, 0.025, 0.05, 0.1, 0.2}
 	requests := []int64{64 << 10, 256 << 10, 1024 << 10}
 
@@ -25,18 +30,18 @@ func main() {
 		fmt.Printf("\n%d KB requests:\n", req>>10)
 		fmt.Printf("  %-10s %-14s %-14s %s\n", "delay (s)", "no prefetch", "prefetch", "speedup")
 		for _, d := range delays {
-			w := core.Workload{
+			spec := workload.Spec{
 				FileSize:     64 << 20,
 				RequestSize:  req,
-				Mode:         core.MRecord,
-				ComputeDelay: core.Seconds(d),
+				Mode:         pfs.MRecord,
+				ComputeDelay: sim.Seconds(d),
 			}
-			plain, err := core.Run(machine, w)
+			plain, err := workload.Run(cfg, spec)
 			if err != nil {
 				log.Fatal(err)
 			}
-			w.Prefetch = true
-			fetched, err := core.Run(machine, w)
+			spec.Prefetch = &pcfg
+			fetched, err := workload.Run(cfg, spec)
 			if err != nil {
 				log.Fatal(err)
 			}

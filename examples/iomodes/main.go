@@ -9,27 +9,29 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/machine"
+	"repro/internal/pfs"
+	"repro/internal/workload"
 )
 
 func main() {
-	machine := core.DefaultMachine()
+	cfg := machine.DefaultConfig()
 
 	modes := []struct {
 		name string
-		mode core.Mode
+		mode pfs.Mode
 		note string
 	}{
-		{"M_UNIX", core.MUnix, "shared pointer, atomic: fully serialized"},
-		{"M_LOG", core.MLog, "shared pointer, unordered: serialized claims"},
-		{"M_SYNC", core.MSync, "node order, variable sizes: per-op barrier"},
-		{"M_RECORD", core.MRecord, "fixed records in node order: no per-op sync"},
-		{"M_ASYNC", core.MAsync, "individual pointers: no coordination at all"},
+		{"M_UNIX", pfs.MUnix, "shared pointer, atomic: fully serialized"},
+		{"M_LOG", pfs.MLog, "shared pointer, unordered: serialized claims"},
+		{"M_SYNC", pfs.MSync, "node order, variable sizes: per-op barrier"},
+		{"M_RECORD", pfs.MRecord, "fixed records in node order: no per-op sync"},
+		{"M_ASYNC", pfs.MAsync, "individual pointers: no coordination at all"},
 	}
 
 	fmt.Println("PFS I/O mode comparison, 8 compute + 8 I/O nodes, 64 KB requests")
 	for _, m := range modes {
-		res, err := core.Run(machine, core.Workload{
+		res, err := workload.Run(cfg, workload.Spec{
 			FileSize:    32 << 20,
 			RequestSize: 64 << 10,
 			Mode:        m.mode,
@@ -40,10 +42,10 @@ func main() {
 		fmt.Printf("  %-9s %7.2f MB/s   %s\n", m.name, res.Bandwidth, m.note)
 	}
 
-	sep, err := core.Run(machine, core.Workload{
+	sep, err := workload.Run(cfg, workload.Spec{
 		FileSize:      32 << 20,
 		RequestSize:   64 << 10,
-		Mode:          core.MAsync,
+		Mode:          pfs.MAsync,
 		SeparateFiles: true,
 	})
 	if err != nil {
@@ -52,10 +54,10 @@ func main() {
 	fmt.Printf("  %-9s %7.2f MB/s   %s\n", "separate", sep.Bandwidth,
 		"one private file per node (no sharing)")
 
-	glob, err := core.Run(machine, core.Workload{
+	glob, err := workload.Run(cfg, workload.Spec{
 		FileSize:    32 << 20,
 		RequestSize: 64 << 10,
-		Mode:        core.MGlobal,
+		Mode:        pfs.MGlobal,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -9,26 +9,31 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/machine"
+	"repro/internal/pfs"
+	"repro/internal/prefetch"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func main() {
-	machine := core.DefaultMachine()
+	cfg := machine.DefaultConfig()
 
-	workload := core.Workload{
+	spec := workload.Spec{
 		FileSize:     64 << 20, // 64 MB shared file
 		RequestSize:  64 << 10, // 64 KB per read per node
-		Mode:         core.MRecord,
-		ComputeDelay: core.Seconds(0.05), // a balanced application: compute between reads
+		Mode:         pfs.MRecord,
+		ComputeDelay: sim.Seconds(0.05), // a balanced application: compute between reads
 	}
 
-	plain, err := core.Run(machine, workload)
+	plain, err := workload.Run(cfg, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	workload.Prefetch = true
-	fetched, err := core.Run(machine, workload)
+	pcfg := prefetch.DefaultConfig()
+	spec.Prefetch = &pcfg
+	fetched, err := workload.Run(cfg, spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -84,9 +84,9 @@ func arrayChainDone(v any, err error) {
 // BenchmarkArrayRead pins a healthy array's lockstep path — ReadCall,
 // the controller issue, the lead's start, service and finish, and the
 // one completion — at 0 allocs/op. Four reads stay outstanding. A
-// warm-up fills the event and op pools; the lead's histograms reserve
-// their samples. detgate runs this with -benchtime=100x as part of the
-// allocation gate.
+// warm-up fills the event and op pools; the lead's histograms grow by
+// amortised appends, as they do in the pfs and ionode benchmarks.
+// detgate runs this with -benchtime=100x as part of the allocation gate.
 func BenchmarkArrayRead(b *testing.B) {
 	k := sim.NewKernel()
 	a := NewArray(k, "raid", 4, testGeo(), FIFO, sim.Millisecond)
@@ -104,9 +104,6 @@ func BenchmarkArrayRead(b *testing.B) {
 		}
 	}
 	run(512)
-	lead := a.members[0]
-	lead.QueueLen.Reserve(512 + b.N)
-	lead.SeekDist.Reserve(512 + b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	run(b.N)
@@ -149,7 +146,7 @@ func diskChainDone(a any, err error) {
 // booked start, SCAN pick, service, and the pooled OnDone completion —
 // at 0 allocs/op. Four requests stay outstanding, so the server both
 // wakes from idle and starts queued requests straight from a finish. A
-// warm-up fills the event pool; the histograms reserve their samples.
+// warm-up fills the event pool; the histograms grow by amortised appends.
 // detgate runs this with -benchtime=100x as part of the allocation gate.
 func BenchmarkDiskServe(b *testing.B) {
 	k := sim.NewKernel()
@@ -176,8 +173,6 @@ func BenchmarkDiskServe(b *testing.B) {
 		}
 	}
 	run(512)
-	d.QueueLen.Reserve(512 + b.N)
-	d.SeekDist.Reserve(512 + b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	run(b.N)

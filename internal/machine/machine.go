@@ -329,8 +329,8 @@ func (m *Machine) Close() { m.K.Close() }
 func (m *Machine) Executed() uint64 { return m.K.Executed() }
 
 // MaxQueueDepth reports the deepest the event queue ever got — a
-// deterministic property of the schedule (runbench records it as
-// max_queue_depth).
+// deterministic property of the schedule (benchsuite reports it as
+// sim.max_queue_depth).
 func (m *Machine) MaxQueueDepth() int { return m.K.MaxPending() }
 
 // Config returns the configuration the machine was built with (geometry

@@ -2,8 +2,8 @@
 // I/O interface the paper's workloads were written against: gopen /
 // setiomode / cread / iread / iowait / iodone / lseek / close, with file
 // descriptors instead of handles. It makes ports of historical Paragon
-// programs read like the originals; new code should use internal/core or
-// internal/pfs directly.
+// programs read like the originals; new code should use internal/workload
+// or internal/pfs directly.
 //
 // A Process binds one compute node's simulated process to the machine;
 // all calls must run on that process's goroutine.

@@ -1,15 +1,15 @@
 // Package scenarios defines the four golden scenarios — healthy
-// quickstart, chaos, crash, and tournament — plus the 1024×256 scale
-// scenario, shared by the determinism gate (cmd/detgate) and the
-// end-to-end benchmark harness (cmd/runbench).
-// Both tools must run literally the same machine configuration and
-// workload spec: detgate pins the event history of these runs with
-// committed digests, and runbench quotes throughput numbers for them, so
-// a drift between the two would benchmark something the gate no longer
-// guarantees.
+// quickstart, chaos, crash, and tournament — and Run, the one way to run
+// them. cmd/detgate pins their event history with committed digests, and
+// the engine-noise test in internal/sim perturbs the same runs, so both
+// see literally the same machine configuration and workload spec. The
+// benchmark suite (benchsuite/) builds its scale-steady and faults
+// workloads on ScaleMachine and CrashMachine.
 package scenarios
 
 import (
+	"fmt"
+
 	"repro/internal/disk"
 	"repro/internal/ionode"
 	"repro/internal/machine"
@@ -113,22 +113,6 @@ func ScaleMachine() machine.Config {
 	return cfg
 }
 
-// ScaleTweak sizes the quickstart spec for the scale platform: every
-// compute node streams a private 128 KB file (two 64 KB reads) created
-// with the tiled default attributes, so the 1024-file population covers
-// all 256 I/O nodes.
-func ScaleTweak(spec *workload.Spec) {
-	spec.SeparateFiles = true
-	spec.FileSize = 1024 * (128 << 10)
-}
-
-// Scale returns the 1024×256 scenario. It is deliberately not part of
-// Golden() — the detgate golden set stays small and fast — and is
-// reachable by name (runbench -scenario scale).
-func Scale() Scenario {
-	return Scenario{Name: "scale", Config: ScaleMachine, Tweak: ScaleTweak}
-}
-
 // Golden returns the gated scenarios in golden-file line order.
 func Golden() []Scenario {
 	return []Scenario{
@@ -140,17 +124,17 @@ func Golden() []Scenario {
 	}
 }
 
-// ByName returns the golden scenario with the given name — or the scale
-// scenario, which is addressable by name without being golden — or
-// false.
-func ByName(name string) (Scenario, bool) {
-	for _, sc := range Golden() {
-		if sc.Name == name {
-			return sc, true
-		}
+// Run executes the scenario once with a 1<<18-event trace log attached
+// and returns the result and the log. This is the run detgate digests.
+func Run(sc Scenario) (*workload.Result, *trace.Log, error) {
+	tl := trace.NewLog(1 << 18)
+	spec := QuickstartSpec(tl)
+	if sc.Tweak != nil {
+		sc.Tweak(&spec)
 	}
-	if sc := Scale(); sc.Name == name {
-		return sc, true
+	res, err := workload.Run(sc.Config(), spec)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s run failed: %w", sc.Name, err)
 	}
-	return Scenario{}, false
+	return res, tl, nil
 }

@@ -1,11 +1,44 @@
-package runbench
+package scenarios_test
 
 import (
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/scenarios"
+	"repro/internal/workload"
 )
+
+// TestTraceDoesNotPerturb proves that attaching a trace log observes a
+// run without changing it: for every golden scenario, the traced run and
+// an untraced one agree on the model fingerprint and on the kernel's
+// census (events executed and booked, queue depth, processes). The
+// benchmark suite times traced and untraced repetitions of one workload
+// as the same work, which holds only if this does.
+func TestTraceDoesNotPerturb(t *testing.T) {
+	for _, sc := range scenarios.Golden() {
+		traced, _, err := scenarios.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		untraced := sc
+		untraced.Tweak = func(spec *workload.Spec) {
+			if sc.Tweak != nil {
+				sc.Tweak(spec)
+			}
+			spec.Trace = nil
+		}
+		plain, _, err := scenarios.Run(untraced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := plain.Fingerprint(), traced.Fingerprint(); got != want {
+			t.Errorf("%s: untraced fingerprint %016x, traced %016x", sc.Name, got, want)
+		}
+		if plain.Engine != traced.Engine {
+			t.Errorf("%s: untraced engine %+v, traced %+v", sc.Name, plain.Engine, traced.Engine)
+		}
+	}
+}
 
 // TestBreakerProbesFire drives the ShedPolicy breaker through its
 // half-open transition: the chaos platform with the fault rate raised
@@ -29,7 +62,7 @@ func TestBreakerProbesFire(t *testing.T) {
 	type counters struct{ Probes, Shed, Faults int64 }
 	collect := func() []counters {
 		t.Helper()
-		res, _, err := Run(sc)
+		res, _, err := scenarios.Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}

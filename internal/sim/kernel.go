@@ -72,7 +72,7 @@ func (k *Kernel) Pending() int { return k.q.n }
 
 // MaxPending reports the high-water mark of the pending-event count —
 // the deepest the event queue ever got. It is a deterministic property
-// of the schedule (runbench records it as max_queue_depth).
+// of the schedule (benchsuite reports it as sim.max_queue_depth).
 func (k *Kernel) MaxPending() int { return k.maxPending }
 
 // Live reports the number of processes that have been created and have not
@@ -104,11 +104,11 @@ func (k *Kernel) Stats() Stats {
 		Live: k.live, Started: k.started}
 }
 
-// Fingerprint digests the kernel's terminal state — clock, total events
+// fingerprint digests the kernel's terminal state — clock, total events
 // scheduled, events executed, and live processes — for run-twice
 // determinism checks. It is not a hash of the event history itself; the
 // per-event record lives in the trace log, which has its own digest.
-func (k *Kernel) Fingerprint() uint64 {
+func (k *Kernel) fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, v := range []uint64{uint64(k.now), k.seq, k.executed, uint64(k.live)} {

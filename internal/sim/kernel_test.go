@@ -317,8 +317,8 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	if peak != 2 {
 		t.Fatalf("peak concurrency %d, want 2", peak)
 	}
-	if sem.Available() != 2 {
-		t.Fatalf("Available = %d at end", sem.Available())
+	if sem.avail != 2 {
+		t.Fatalf("%d units free at end, want 2", sem.avail)
 	}
 }
 
@@ -399,25 +399,6 @@ func TestBarrierRounds(t *testing.T) {
 				t.Fatalf("round %d released at differing times %v", round, rel)
 			}
 		}
-	}
-}
-
-func TestWaitAll(t *testing.T) {
-	k := NewKernel()
-	a, b := NewSignal(k), NewSignal(k)
-	sentinel := errors.New("b failed")
-	k.Go("fa", func(p *Proc) { p.Sleep(Millisecond); a.Fire(nil) })
-	k.Go("fb", func(p *Proc) { p.Sleep(2 * Millisecond); b.Fire(sentinel) })
-	k.Go("waiter", func(p *Proc) {
-		if err := WaitAll(p, a, b); !errors.Is(err, sentinel) {
-			t.Errorf("WaitAll err = %v", err)
-		}
-		if p.Now() != 2*Millisecond {
-			t.Errorf("WaitAll returned at %v", p.Now())
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

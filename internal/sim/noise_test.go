@@ -7,7 +7,6 @@ import (
 	"repro/internal/scenarios"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // goldenRun is one golden-scenario run's digests.
@@ -16,23 +15,18 @@ type goldenRun struct {
 	events               []trace.Event
 }
 
-// runGolden runs sc as cmd/detgate does, with hook (if non-nil) applied
-// to the run's kernel as soon as it exists.
+// runGolden runs sc through scenarios.Run, with hook (if non-nil)
+// applied to the run's kernel as soon as it exists.
 func runGolden(t *testing.T, sc scenarios.Scenario, hook func(*sim.Kernel)) goldenRun {
 	t.Helper()
 	sim.SetNewKernelHook(hook)
 	defer sim.SetNewKernelHook(nil)
-	tl := trace.NewLog(1 << 18)
-	spec := scenarios.QuickstartSpec(tl)
-	if sc.Tweak != nil {
-		sc.Tweak(&spec)
-	}
-	res, err := workload.Run(sc.Config(), spec)
+	res, tl, err := scenarios.Run(sc)
 	if err != nil {
-		t.Fatalf("%s: %v", sc.Name, err)
+		t.Fatal(err)
 	}
 	return goldenRun{model: res.Fingerprint(), trace: tl.Digest(),
-		kernel: res.Machine.K.Fingerprint(), events: tl.Events()}
+		kernel: sim.KernelFingerprint(res.Machine.K), events: tl.Events()}
 }
 
 // instants draws n seeded instants at which the model runs events: the

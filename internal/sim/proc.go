@@ -98,7 +98,7 @@ func (p *Proc) run() {
 // exit ends the process. The recover runs on the process's own stack, so
 // a panic's report carries the frames of the code that panicked rather
 // than iter.Pull's re-panic in the kernel goroutine. A process ended by
-// Close leaves the live count as it was: Fingerprint folds it.
+// Close leaves the live count as it was: fingerprint folds it.
 func (p *Proc) exit() {
 	r := recover()
 	k := p.k
@@ -116,7 +116,7 @@ func (p *Proc) exit() {
 // processes left blocked by a deadlock, a panic or a RunUntil deadline,
 // whose deferred functions run. Without it a parked coroutine stays
 // reachable, and with it everything its machine holds. Close leaves the
-// clock, the event counts and the live count untouched, so Fingerprint
+// clock, the event counts and the live count untouched, so fingerprint
 // reads the same before and after. It must be called from outside the simulation, after the last
 // Run; the kernel must not run again. Calling it twice is a no-op.
 func (k *Kernel) Close() {
@@ -159,7 +159,3 @@ func (p *Proc) Sleep(d Time) {
 	p.k.AfterCall(d, wakeProc, p)
 	p.block()
 }
-
-// Yield suspends the process until all other work scheduled at the current
-// instant has run.
-func (p *Proc) Yield() { p.Sleep(0) }

@@ -72,14 +72,14 @@ func TestCloseKeepsFingerprint(t *testing.T) {
 	if err := k.RunUntil(Second); err != nil {
 		t.Fatal(err)
 	}
-	fp, live := k.Fingerprint(), k.Live()
+	fp, live := k.fingerprint(), k.Live()
 	if live != 1 {
 		t.Fatalf("%d processes live after the client ended, want the parked server", live)
 	}
 	k.Close()
-	if k.Fingerprint() != fp || k.Live() != live {
+	if k.fingerprint() != fp || k.Live() != live {
 		t.Fatalf("Close moved the kernel: fingerprint %016x -> %016x, live %d -> %d",
-			fp, k.Fingerprint(), live, k.Live())
+			fp, k.fingerprint(), live, k.Live())
 	}
 }
 

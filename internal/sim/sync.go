@@ -180,9 +180,6 @@ func NewSemaphore(k *Kernel, n int64) *Semaphore {
 	return &Semaphore{k: k, avail: n}
 }
 
-// Available reports the units currently free.
-func (s *Semaphore) Available() int64 { return s.avail }
-
 // Acquire blocks p until n units are available, then takes them.
 func (s *Semaphore) Acquire(p *Proc, n int64) {
 	if n < 0 {
@@ -264,16 +261,4 @@ func (b *Barrier) Wait(p *Proc) {
 	}
 	b.waiters = append(b.waiters, p)
 	p.block()
-}
-
-// WaitAll blocks p until every signal has fired, returning the first
-// non-nil error among them (in argument order).
-func WaitAll(p *Proc, signals ...*Signal) error {
-	var first error
-	for _, s := range signals {
-		if err := s.Wait(p); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

@@ -24,9 +24,6 @@ const (
 // Seconds converts a floating-point number of seconds to a Time.
 func Seconds(s float64) Time { return Time(s * float64(Second)) }
 
-// Microseconds converts a floating-point number of microseconds to a Time.
-func Microseconds(us float64) Time { return Time(us * float64(Microsecond)) }
-
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 

@@ -32,7 +32,6 @@ func BenchmarkHistogramQuantile(b *testing.B) {
 // not a re-sort of 100k samples.
 func BenchmarkHistogramQuantileClean(b *testing.B) {
 	var h Histogram
-	h.Reserve(100000)
 	for i := 0; i < 100000; i++ {
 		h.Observe(float64((i * 2654435761) % 99991))
 	}

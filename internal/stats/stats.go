@@ -42,26 +42,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sorted = false
 }
 
-// Reserve grows the sample storage to hold at least n samples without
-// further allocation. Call it once when the expected sample count is
-// known; observing past the reservation still works (append grows).
-func (h *Histogram) Reserve(n int) {
-	if cap(h.samples) >= n {
-		return
-	}
-	s := make([]float64, len(h.samples), n)
-	copy(s, h.samples)
-	h.samples = s
-}
-
-// Reset forgets all samples but keeps the storage, so a histogram can be
-// reused across runs without reallocating.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.sum = 0
-	h.sorted = false
-}
-
 // Clone returns an independent copy of h: samples observed later on
 // either histogram do not show in the other.
 func (h *Histogram) Clone() Histogram {

@@ -179,8 +179,8 @@ func TestTableRender(t *testing.T) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
+	if len(tb.Rows()) != 2 {
+		t.Fatalf("%d rows, want 2", len(tb.Rows()))
 	}
 }
 
@@ -213,48 +213,8 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestHistogramReserveReset(t *testing.T) {
-	var h Histogram
-	h.Reserve(100)
-	if cap(h.samples) < 100 {
-		t.Fatalf("Reserve(100) left cap %d", cap(h.samples))
-	}
-	base := &h.samples[:1][0]
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i))
-	}
-	if &h.samples[0] != base {
-		t.Fatal("observing within the reservation reallocated storage")
-	}
-	if h.N() != 100 || h.Sum() != 4950 {
-		t.Fatalf("N=%d Sum=%v after 100 observes", h.N(), h.Sum())
-	}
-	h.Reset()
-	if h.N() != 0 || h.Sum() != 0 || h.Mean() != 0 {
-		t.Fatal("Reset did not clear the histogram")
-	}
-	if cap(h.samples) < 100 {
-		t.Fatal("Reset dropped the reserved storage")
-	}
-	h.Observe(7)
-	if h.Min() != 7 || h.Max() != 7 || h.N() != 1 {
-		t.Fatal("histogram unusable after Reset")
-	}
-}
-
-func TestHistogramReserveKeepsSamples(t *testing.T) {
-	var h Histogram
-	h.Observe(3)
-	h.Observe(1)
-	h.Reserve(1000)
-	if h.N() != 2 || h.Min() != 1 || h.Max() != 3 {
-		t.Fatal("Reserve lost existing samples")
-	}
-}
-
 func TestHistogramCloneIsIndependent(t *testing.T) {
 	var h Histogram
-	h.Reserve(8)
 	h.Observe(3)
 	h.Observe(1)
 	c := h.Clone()

@@ -36,9 +36,6 @@ func (t *Table) AddRow(values ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows reports the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Headers returns the column headers.
 func (t *Table) Headers() []string { return t.headers }
 

@@ -38,20 +38,14 @@ func clampWorkers(workers, n int) int {
 	return workers
 }
 
-// Map evaluates fn(i) for every i in [0, n) across a pool of workers
-// goroutines and returns the results in index order. A panic in any job
-// is captured and re-raised on the calling goroutine after the pool has
-// drained, as a serial loop would raise it.
-func Map[T any](workers, n int, fn func(int) T) []T {
-	out, _ := MapErr(workers, n, func(i int) (T, error) { return fn(i), nil })
-	return out
-}
-
-// MapErr is Map for jobs that can fail. Every job runs regardless of
-// other jobs' failures (grid cells are independent; there is no partial
-// result to protect), and the error returned is the failing job with the
-// lowest index — the same error a serial in-order loop would have
-// returned first — so error text is deterministic at any worker count.
+// MapErr evaluates fn(i) for every i in [0, n) across a pool of workers
+// goroutines and returns the results in index order. Every job runs
+// regardless of other jobs' failures (grid cells are independent; there
+// is no partial result to protect), and the error returned is the failing
+// job with the lowest index — the same error a serial in-order loop would
+// have returned first — so error text is deterministic at any worker
+// count. A panic in any job is captured and re-raised on the calling
+// goroutine after the pool has drained, as a serial loop would raise it.
 func MapErr[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil

@@ -12,9 +12,15 @@ import (
 	"repro/internal/workload"
 )
 
+// mapAll runs infallible jobs through MapErr.
+func mapAll[T any](workers, n int, fn func(int) T) []T {
+	out, _ := MapErr(workers, n, func(i int) (T, error) { return fn(i), nil })
+	return out
+}
+
 func TestMapOrdersResults(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 7, 16, 100} {
-		got := Map(workers, 50, func(i int) int { return i * i })
+		got := mapAll(workers, 50, func(i int) int { return i * i })
 		if len(got) != 50 {
 			t.Fatalf("workers=%d: got %d results, want 50", workers, len(got))
 		}
@@ -27,7 +33,7 @@ func TestMapOrdersResults(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	if got := Map(4, 0, func(i int) int { return i }); got != nil {
+	if got := mapAll(4, 0, func(i int) int { return i }); got != nil {
 		t.Fatalf("n=0 returned %v, want nil", got)
 	}
 }
@@ -68,7 +74,7 @@ func TestMapPanicPropagates(t *testing.T) {
 					t.Fatalf("workers=%d: panic did not propagate", workers)
 				}
 			}()
-			Map(workers, 8, func(i int) int {
+			mapAll(workers, 8, func(i int) int {
 				if i == 5 {
 					panic(errors.New("boom"))
 				}
@@ -144,7 +150,7 @@ func TestParallelSimulationsMatchSerial(t *testing.T) {
 	// bit-identical per-cell fingerprints at any worker count.
 	const n = 8
 	run := func(workers int) []uint64 {
-		return Map(workers, n, func(i int) uint64 {
+		return mapAll(workers, n, func(i int) uint64 {
 			cfg, spec := sweepSpec(i)
 			res, err := workload.Run(cfg, spec)
 			if err != nil {
@@ -174,7 +180,7 @@ func benchSweep(b *testing.B, workers int) {
 	const cells = 8
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Map(workers, cells, func(c int) float64 {
+		mapAll(workers, cells, func(c int) float64 {
 			cfg, spec := sweepSpec(c)
 			res, err := workload.Run(cfg, spec)
 			if err != nil {
@@ -220,7 +226,7 @@ func TestClampWorkers(t *testing.T) {
 func TestMapWorkerCapConcurrency(t *testing.T) {
 	const n = 3
 	var inFlight, peak, ran atomic.Int64
-	Map(64, n, func(i int) int {
+	mapAll(64, n, func(i int) int {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()

@@ -119,13 +119,6 @@ func NewLog(capacity int) *Log {
 	return &Log{events: make([]Event, 0, pre), cap: capacity}
 }
 
-// Reset forgets all events but keeps the storage, so one Log can be
-// reused across runs without reallocating the ring.
-func (l *Log) Reset() {
-	l.events = l.events[:0]
-	l.dropped = 0
-}
-
 // Add appends an event (dropping it if the log is full).
 func (l *Log) Add(e Event) {
 	if len(l.events) >= l.cap {

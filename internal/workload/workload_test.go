@@ -21,6 +21,7 @@ func TestValidate(t *testing.T) {
 	c := cfg4x4()
 	cases := []Spec{
 		{FileSize: 0, RequestSize: 64 << 10, Mode: pfs.MRecord},
+		{FileSize: -1, RequestSize: 64 << 10, Mode: pfs.MRecord},
 		{FileSize: 1 << 20, RequestSize: 0, Mode: pfs.MRecord},
 		{FileSize: 1 << 20, RequestSize: 64 << 10, Mode: pfs.Mode(17)},
 		{FileSize: 1 << 20, RequestSize: 64 << 10, Mode: pfs.MRecord, StripeGroup: 9},
