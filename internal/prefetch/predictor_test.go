@@ -7,6 +7,7 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -190,5 +191,53 @@ func TestModePredictorMatchesLegacyBehaviour(t *testing.T) {
 	_, pf, _ := seqRun(t, smallMachine(), 1<<20, 64<<10, 200*sim.Millisecond, &pcfg)
 	if pf.Misses != 1 || pf.Hits != 15 {
 		t.Fatalf("Misses=%d Hits=%d, want 1/15", pf.Misses, pf.Hits)
+	}
+}
+
+// TestIssueSpansStayOnTheirNode: with Depth > 1 an issue sleeps
+// IssueOverhead between spans, and other nodes' reads predict in the
+// meantime on the same shared Prefetcher. Every span a node posts must
+// still be one of its own M_RECORD records, and none may go to waste.
+func TestIssueSpansStayOnTheirNode(t *testing.T) {
+	const (
+		nodes = 4
+		req   = 64 << 10
+	)
+	cfg := machine.DefaultConfig()
+	cfg.ComputeNodes = nodes
+	cfg.IONodes = 4
+	pcfg := prefetch.DefaultConfig()
+	pcfg.Depth = 4
+	tl := trace.NewLog(1 << 16)
+	res, err := workload.Run(cfg, workload.Spec{
+		FileSize:     8 << 20,
+		RequestSize:  req,
+		Mode:         pfs.MRecord,
+		ComputeDelay: 50 * sim.Millisecond,
+		Prefetch:     &pcfg,
+		Trace:        tl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank := make(map[int]int64, nodes)
+	for i, node := range res.Machine.Compute {
+		rank[node] = int64(i)
+	}
+	issues := 0
+	for _, e := range tl.Events() {
+		if e.Kind != trace.PrefetchIssue {
+			continue
+		}
+		issues++
+		if got := (e.Off / req) % nodes; got != rank[e.Node] {
+			t.Fatalf("node %d (rank %d) issued a prefetch at %d, record of rank %d", e.Node, rank[e.Node], e.Off, got)
+		}
+	}
+	if issues == 0 || tl.Dropped() != 0 {
+		t.Fatalf("%d prefetch issues traced, %d events dropped", issues, tl.Dropped())
+	}
+	if w := res.Prefetch.Wasted; w != 0 {
+		t.Fatalf("Wasted = %d, want 0", w)
 	}
 }

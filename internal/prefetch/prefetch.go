@@ -102,14 +102,14 @@ func entryFillDone(v any, err error) {
 // open files; state is per open instance, as in the prototype (the list
 // hangs off the file's internal structure).
 type Prefetcher struct {
-	k     *sim.Kernel
-	cfg   Config
-	lists map[*pfs.File][]*entry
-	adapt map[*pfs.File]*adaptState
-	free  []*entry // entry pool; each keeps its Async for reuse
-	spans []Span   // prediction scratch, reused across issues
-	track tracker  // non-nil when the predictor wants outcome attribution
-	ctl   *controller
+	k        *sim.Kernel
+	cfg      Config
+	lists    map[*pfs.File][]*entry
+	adapt    map[*pfs.File]*adaptState
+	free     []*entry // entry pool; each keeps its Async for reuse
+	spanFree [][]Span // pooled span lists, one per issue in progress
+	track    tracker  // non-nil when the predictor wants outcome attribution
+	ctl      *controller
 
 	// Measurements.
 	Issued        int64           // prefetch requests queued on the ART
@@ -418,8 +418,12 @@ func (pf *Prefetcher) issue(p *sim.Proc, f *pfs.File, off, n int64) {
 		// this is the same source Predict forwards to below.
 		src = pf.track.selectedSource(f)
 	}
-	pf.spans = pf.cfg.Predictor.Predict(f, off, n, pf.cfg.Depth, pf.spans[:0])
-	for _, span := range pf.spans {
+	// The list is this read's own: the issue sleeps between spans, and
+	// another node's read predicts in the meantime.
+	spans := pf.getSpans()
+	spans = pf.cfg.Predictor.Predict(f, off, n, pf.cfg.Depth, spans)
+	defer pf.putSpans(spans)
+	for _, span := range spans {
 		if pf.covered(f, span.Off) {
 			continue
 		}
@@ -446,6 +450,17 @@ func (pf *Prefetcher) issue(p *sim.Proc, f *pfs.File, off, n int64) {
 		pf.emit(p, trace.PrefetchIssue, f, span.Off, span.N)
 	}
 }
+
+func (pf *Prefetcher) getSpans() []Span {
+	if n := len(pf.spanFree); n > 0 {
+		l := pf.spanFree[n-1]
+		pf.spanFree = pf.spanFree[:n-1]
+		return l
+	}
+	return nil
+}
+
+func (pf *Prefetcher) putSpans(l []Span) { pf.spanFree = append(pf.spanFree, l[:0]) }
 
 // emit records a prefetch decision on the configured timeline.
 func (pf *Prefetcher) emit(p *sim.Proc, kind trace.Kind, f *pfs.File, off, n int64) {
