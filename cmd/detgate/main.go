@@ -18,8 +18,8 @@
 // at depths 1k and 100k, the disk's callback server, a healthy array's
 // lockstep read, plus the pfs client steady-state read, the pfs
 // asynchronous read through the ART, the pfs callback positioned read
-// (ReadAtCall), and the ionode service paths —
-// still report 0 allocs/op.
+// (ReadAtCall), the ionode service paths, and the prefetcher's
+// steady-state hit (ServeReadCall) — still report 0 allocs/op.
 package main
 
 import (
@@ -107,6 +107,7 @@ var allocGatePackages = []struct {
 	{"./internal/disk/", "BenchmarkDiskServe$|BenchmarkArrayRead$"},
 	{"./internal/pfs/", "BenchmarkClientSteadyRead$|BenchmarkAsyncRead$|BenchmarkReadAtCall$"},
 	{"./internal/ionode/", "BenchmarkServicePath$"},
+	{"./internal/prefetch/", "BenchmarkServeReadCall$"},
 }
 
 // zeroAllocBenches are the hot paths pinned at 0 allocs/op. Names are
@@ -124,6 +125,7 @@ var zeroAllocBenches = map[string]bool{
 	"BenchmarkAsyncRead":               true, // pfs asynchronous read through the ART
 	"BenchmarkReadAtCall":              true, // pfs callback positioned read (open-loop QoS)
 	"BenchmarkServicePath":             true, // ionode request service path
+	"BenchmarkServeReadCall":           true, // prefetcher steady-state hit and read-ahead
 }
 
 func gateAllocs() {

@@ -156,14 +156,6 @@ func follow(req *Request, i int) *Request {
 // failover-off twin simcheck runs to prove the parity path matters.
 func (a *Array) SetParity(ok bool) { a.parity = ok }
 
-// SetReconstructBW overrides the modeled parity reconstruction bandwidth.
-func (a *Array) SetReconstructBW(bw float64) {
-	if bw <= 0 {
-		panic("disk: reconstruction bandwidth must be positive")
-	}
-	a.reconBW = bw
-}
-
 // SetTrace attaches a trace log; node is stamped on emitted events so the
 // timeline shows which I/O node's array degraded or rebuilt.
 func (a *Array) SetTrace(tl *trace.Log, node int) { a.tr, a.trNode = tl, node }

@@ -19,7 +19,6 @@
 package disk
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -46,13 +45,6 @@ func (e *Error) Error() string {
 		kind = "transient"
 	}
 	return fmt.Sprintf("disk %s: %s read error at sector %d", e.Disk, kind, e.Sector)
-}
-
-// IsTransient reports whether err is (or wraps) a transient disk error —
-// one that a retry of the same request will not reproduce.
-func IsTransient(err error) bool {
-	var de *Error
-	return errors.As(err, &de) && de.Transient
 }
 
 // Geometry describes one disk's mechanics.
@@ -353,9 +345,6 @@ func (d *Disk) Kill() {
 func (d *Disk) complete(req *Request, err error) {
 	d.k.AfterCallErr(0, req.OnDone, req.DoneArg, err)
 }
-
-// Dead reports whether the drive has been killed.
-func (d *Disk) Dead() bool { return d.dead }
 
 // Submit enqueues a request; req.OnDone runs when it completes. A request
 // extending past the end of the disk panics: the layer above sized the

@@ -179,14 +179,6 @@ func (s *Server) Restart() {
 	s.emit(trace.NodeRestart, 0)
 }
 
-// Down reports whether the node is currently crashed.
-func (s *Server) Down() bool { return s.down }
-
-// DownUntil returns the advertised restart time while down (zero when
-// up). The retry layer uses it for restart-aware backoff — the real PFS
-// daemons exchanged heartbeats; here the schedule is known.
-func (s *Server) DownUntil() sim.Time { return s.downUntil }
-
 // DownAt reports whether the node is down at time now, and its
 // advertised restart time if so. This is the client-facing health
 // query: with a static outage schedule installed it reads no mutable

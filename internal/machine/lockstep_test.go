@@ -64,7 +64,8 @@ func runWriteRead(t *testing.T, perMember bool) writeReadRun {
 				out.done[i] = append(out.done[i], p.Now())
 			}
 			for off := start; off < start+share/4; off += rec {
-				if _, err := f.ReadAt(p, off, rec); err != nil {
+				f.ReadAtCall(off, rec, resumeReader, p)
+				if err := p.Park(); err != nil {
 					t.Error(err)
 					return
 				}
@@ -89,6 +90,9 @@ func runWriteRead(t *testing.T, perMember bool) writeReadRun {
 	}
 	return out
 }
+
+// resumeReader resumes the process parked on a ReadAtCall.
+func resumeReader(a any, _ int64, err error) { sim.Resume(a, err) }
 
 // TestWritesKeepLockstep: a write-then-read-back workload on a built
 // machine gives the same trace, the same completion instants and the

@@ -116,7 +116,7 @@ func artPost(x any) {
 }
 
 // artDone completes the head request — a read counts its bytes into
-// IOBytes, as BlockingIO does — and posts the next one after the posting
+// IOBytes, as a stripe read does — and posts the next one after the posting
 // cost, or lets the thread go idle.
 func artDone(x any, err error) {
 	a := x.(*art)
@@ -137,13 +137,4 @@ func artDone(x any, err error) {
 		return
 	}
 	a.busy = false
-}
-
-// AsyncIssued reports how many asynchronous requests this open instance
-// has queued (for tests and stats).
-func (f *File) AsyncIssued() int64 {
-	if f.art == nil {
-		return 0
-	}
-	return f.art.issued
 }

@@ -84,7 +84,7 @@ func TestARTPostsOneAtATime(t *testing.T) {
 			t.Fatalf("request %d posted at %v, want ARTSetup after %v", i, posts[i], ready)
 		}
 	}
-	if f.AsyncIssued() != n || f.IOBytes != n*128<<10 {
-		t.Fatalf("AsyncIssued %d, IOBytes %d", f.AsyncIssued(), f.IOBytes)
+	if f.art.issued != n || f.IOBytes != n*128<<10 {
+		t.Fatalf("AsyncIssued %d, IOBytes %d", f.art.issued, f.IOBytes)
 	}
 }

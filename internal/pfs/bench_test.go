@@ -20,7 +20,7 @@ func BenchmarkDecluster(b *testing.B) {
 // and completion delivery — at 0 allocs/op. One warm-up pass fills every
 // pool (events, signals, stripe ops, piece attempts, server ops, ufs read
 // ops, disk requests) and the histogram sample storage; after that a
-// blocking stripe read must not allocate. detgate runs this with
+// stripe read that parks its process must not allocate. detgate runs this with
 // -benchtime=100x as part of the allocation gate.
 func BenchmarkClientSteadyRead(b *testing.B) {
 	r := newRig(b, 1, 4)
@@ -35,7 +35,8 @@ func BenchmarkClientSteadyRead(b *testing.B) {
 	run := func(reads int) {
 		r.k.Go("reader", func(p *sim.Proc) {
 			for i := 0; i < reads; i++ {
-				if err := f.BlockingIO(p, int64(i%16)*su, su); err != nil {
+				f.StripeReadCall(int64(i%16)*su, su, sim.Resume, p)
+				if err := p.Park(); err != nil {
 					b.Error(err)
 					return
 				}

@@ -42,7 +42,7 @@ func TestGlobalBroadcastTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var served int64
-	for _, srv := range r.fsys.Servers() {
+	for _, srv := range r.fsys.servers {
 		served += srv.BytesServed
 	}
 	if served != req {

@@ -10,17 +10,19 @@ import (
 )
 
 // PrefetchService is the hook the prefetching prototype plugs into. When
-// installed on a File, every blocking read is routed through ServeRead
-// instead of the plain Fast Path, exactly where the paper modified the
-// PFS client. Implementations live in package prefetch; pfs itself has no
+// installed on a File, the data step of every read — Read in each mode
+// and ReadAtCall — is routed through ServeReadCall instead of the plain
+// Fast Path, exactly where the paper modified the PFS client.
+// Implementations live in package prefetch; pfs itself has no
 // prefetching policy.
 type PrefetchService interface {
-	// ServeRead satisfies the user read at [off, off+n): from the
+	// ServeReadCall satisfies the user read at [off, off+n): from the
 	// prefetch buffer when possible (paying the buffer-to-user copy),
 	// waiting on an in-flight prefetch when one covers the range, or by
-	// performing the read directly otherwise. It blocks p until the data
-	// is in the user's buffer and then issues any follow-on readahead.
-	ServeRead(p *sim.Proc, f *File, off, n int64) error
+	// performing the read directly otherwise (StripeReadCall). It records
+	// a hit's delivery, issues any follow-on readahead, and then calls
+	// done(arg, err).
+	ServeReadCall(f *File, off, n int64, done func(any, error), arg any)
 	// OnClose releases the file's prefetch buffers.
 	OnClose(f *File)
 }
@@ -68,10 +70,6 @@ func (f *File) Mode() Mode { return f.mode }
 // Node returns the compute node this instance belongs to.
 func (f *File) Node() int { return f.node }
 
-// Rank returns this instance's rank within its open group (0 when no
-// group).
-func (f *File) Rank() int { return f.rank }
-
 // Parties returns the open group size (1 when no group).
 func (f *File) Parties() int {
 	if f.group == nil {
@@ -83,12 +81,6 @@ func (f *File) Parties() int {
 // Offset returns the individual file pointer.
 func (f *File) Offset() int64 { return f.offset }
 
-// StripeUnit returns the file's stripe unit size.
-func (f *File) StripeUnit() int64 { return f.meta.su }
-
-// StripeGroup returns the size of the file's stripe group.
-func (f *File) StripeGroup() int { return len(f.meta.group) }
-
 // SetPrefetcher installs (or, with nil, removes) the prefetch service for
 // this open instance.
 func (f *File) SetPrefetcher(pf PrefetchService) { f.pf = pf }
@@ -97,9 +89,6 @@ func (f *File) SetPrefetcher(pf PrefetchService) { f.pf = pf }
 // stripe piece it issues (including prefetches on its behalf) carries
 // the id to the I/O-node fair scheduler and the per-tenant accounting.
 func (f *File) SetTenant(t int) { f.tenant = t }
-
-// Tenant returns the owning tenant id.
-func (f *File) Tenant() int { return f.tenant }
 
 // SetMode changes the I/O mode mid-file, as the PFS's setiomode allowed.
 // Switching into a collective mode requires the instance to have been
@@ -230,10 +219,7 @@ func (f *File) Read(p *sim.Proc, n int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	f.ReadCalls++
-	f.BytesRead += n
-	f.ReadTime.ObserveTime(p.Now() - start)
-	return n, nil
+	return f.readDone(n, start), nil
 }
 
 // recordRead implements M_RECORD. The file is a sequence of fixed-size
@@ -259,10 +245,7 @@ func (f *File) recordRead(p *sim.Proc, n int64, start sim.Time) (int64, error) {
 	if err := f.performRead(p, off, n); err != nil {
 		return 0, err
 	}
-	f.ReadCalls++
-	f.BytesRead += n
-	f.ReadTime.ObserveTime(p.Now() - start)
-	return n, nil
+	return f.readDone(n, start), nil
 }
 
 // collectiveRead implements the M_SYNC / M_GLOBAL paths.
@@ -299,10 +282,7 @@ func (f *File) collectiveRead(p *sim.Proc, n int64, start sim.Time) (int64, erro
 	if err != nil {
 		return 0, err
 	}
-	f.ReadCalls++
-	f.BytesRead += n
-	f.ReadTime.ObserveTime(p.Now() - start)
-	return n, nil
+	return f.readDone(n, start), nil
 }
 
 // globalRead has rank 0 perform the I/O and broadcast the data to the
@@ -356,104 +336,101 @@ func (f *File) bcast() *sim.Semaphore {
 	return f.bcastSem
 }
 
-// performRead routes a positioned read through the prefetcher when one is
-// installed, else straight to the striped Fast Path. The prefetch service
-// owns delivery accounting for the ranges it serves (it alone knows which
-// buffer a hit copied from); the direct path records here.
-func (f *File) performRead(p *sim.Proc, off, n int64) error {
-	if f.pf != nil {
-		return f.pf.ServeRead(p, f, off, n)
-	}
-	if err := f.BlockingIO(p, off, n); err != nil {
-		return err
-	}
-	f.RecordDelivery(off, n)
-	return nil
-}
-
-// BlockingIO performs the raw striped read of [off, off+n), blocking p
-// until the data has arrived in the caller's buffer. No file pointers are
-// touched and no prefetcher is consulted: this is the primitive the modes,
-// the ART, and the prefetcher all bottom out in.
-func (f *File) BlockingIO(p *sim.Proc, off, n int64) error {
-	if off < 0 || n <= 0 || off+n > f.meta.size {
-		return fmt.Errorf("pfs: read [%d,+%d) outside %s (%d bytes)", off, n, f.meta.name, f.meta.size)
-	}
-	sig := f.fsys.getSig()
-	f.fsys.stripeIOInto(sig, f.node, f.tenant, f.meta, off, n, false)
-	err := sig.Wait(p)
-	f.fsys.putSig(sig)
-	if err != nil {
-		return err
-	}
-	f.IOBytes += n
-	return nil
-}
-
-// ReadAt performs one blocking positioned read of n bytes at off — the
-// open-loop QoS workload's primitive: no file pointer is shared or
-// advanced, so thousands of tenants can issue independent reads on
-// their own open instances. The call pays the client syscall cost,
-// routes through the prefetcher when one is installed, and accounts
-// like Read (ReadCalls/BytesRead/ReadTime, trace read-start/read-end).
-func (f *File) ReadAt(p *sim.Proc, off, n int64) (int64, error) {
-	if f.closed {
-		return 0, ErrClosed
-	}
-	if off < 0 || n <= 0 || off+n > f.meta.size {
-		return 0, fmt.Errorf("pfs: read [%d,+%d) outside %s (%d bytes)", off, n, f.meta.name, f.meta.size)
-	}
-	start := p.Now()
-	f.fsys.emit(trace.ReadStart, f.node, f.meta.name, off, n)
-	defer func() { f.fsys.emit(trace.ReadEnd, f.node, f.meta.name, off, n) }()
-	p.Sleep(f.fsys.cfg.ClientCall)
-	if err := f.performRead(p, off, n); err != nil {
-		return 0, err
-	}
+// readDone accounts a completed read of n bytes that began at start,
+// and returns n.
+func (f *File) readDone(n int64, start sim.Time) int64 {
 	f.ReadCalls++
 	f.BytesRead += n
-	f.ReadTime.ObserveTime(p.Now() - start)
-	return n, nil
+	f.ReadTime.ObserveTime(f.fsys.k.Now() - start)
+	return n
 }
 
-// readAtOp is the pooled state of one ReadAtCall: what ReadAt keeps on
-// its process's stack while the process sleeps and waits.
-type readAtOp struct {
+// readCall is the data step of every read of [off, off+n): through the
+// prefetch service when one is installed, else a direct stripe read.
+func (f *File) readCall(off, n int64, done func(any, error), arg any) {
+	if f.pf != nil {
+		f.pf.ServeReadCall(f, off, n, done, arg)
+		return
+	}
+	f.StripeReadCall(off, n, done, arg)
+}
+
+// performRead is readCall for a process: it parks p until the read is
+// done, and done resumes p inside the event that completes it. A read
+// that completes before returning leaves p running.
+func (f *File) performRead(p *sim.Proc, off, n int64) error {
+	f.readCall(off, n, sim.Resume, p)
+	return p.Park()
+}
+
+// readOp is the pooled state of one stripe read or one ReadAtCall.
+type readOp struct {
 	f      *File
 	off, n int64
-	start  sim.Time
-	sig    *sim.Signal
-	done   func(any, int64, error)
+	sig    *sim.Signal // the stripe read's completion
+	start  sim.Time    // when the ReadAtCall was made
+	done   func(any, error)
+	doneAt func(any, int64, error) // the ReadAtCall's caller
 	arg    any
 }
 
-func (fsys *FileSystem) getReadAtOp() *readAtOp {
-	if n := len(fsys.readAtFree); n > 0 {
-		op := fsys.readAtFree[n-1]
-		fsys.readAtFree[n-1] = nil
-		fsys.readAtFree = fsys.readAtFree[:n-1]
+func (fsys *FileSystem) getReadOp() *readOp {
+	if n := len(fsys.readFree); n > 0 {
+		op := fsys.readFree[n-1]
+		fsys.readFree[n-1] = nil
+		fsys.readFree = fsys.readFree[:n-1]
 		return op
 	}
-	return &readAtOp{}
+	return &readOp{}
 }
 
-func (fsys *FileSystem) putReadAtOp(op *readAtOp) {
-	*op = readAtOp{}
-	fsys.readAtFree = append(fsys.readAtFree, op)
+func (fsys *FileSystem) putReadOp(op *readOp) {
+	*op = readOp{}
+	fsys.readFree = append(fsys.readFree, op)
 }
 
-// ReadAtCall is ReadAt without a process: done(arg, n, err) runs where
-// ReadAt would return, and the call books the same events at the same
-// instants in the same order as ReadAt on a process does — the client
-// call's sleep, then one zero-delay wake when the stripe signal fires
-// (none when it fired before the wait). An invalid call (closed file,
-// range outside the file) calls done before returning, as ReadAt returns
-// before its first sleep. The prefetcher's ServeRead blocks a process,
-// so ReadAtCall panics on a file with one installed.
-func (f *File) ReadAtCall(off, n int64, done func(any, int64, error), arg any) {
-	if f.pf != nil {
-		panic(fmt.Sprintf("pfs: ReadAtCall on %s, which has a prefetcher; use ReadAt", f.meta.name))
+// StripeReadCall performs the raw striped read of [off, off+n) and calls
+// done(arg, err) once the data has arrived in the caller's buffer (before
+// returning when the read settles at once); a successful read records
+// its delivery. No file pointers are touched and no prefetcher is
+// consulted: this is the direct read the modes and the prefetcher
+// bottom out in.
+func (f *File) StripeReadCall(off, n int64, done func(any, error), arg any) {
+	if off < 0 || n <= 0 || off+n > f.meta.size {
+		done(arg, fmt.Errorf("pfs: read [%d,+%d) outside %s (%d bytes)", off, n, f.meta.name, f.meta.size))
+		return
 	}
+	fsys := f.fsys
+	op := fsys.getReadOp()
+	op.f, op.off, op.n, op.done, op.arg = f, off, n, done, arg
+	op.sig = fsys.getSig()
+	fsys.stripeIOInto(op.sig, f.node, f.tenant, f.meta, off, n, false)
+	op.sig.WaitCall(stripeReadDone, op)
+}
+
+// stripeReadDone counts and records a successful read's bytes, and hands
+// the outcome to the caller.
+func stripeReadDone(a any, err error) {
+	op := a.(*readOp)
+	f, done, arg := op.f, op.done, op.arg
+	f.fsys.putSig(op.sig)
+	if err == nil {
+		f.IOBytes += op.n
+		f.RecordDelivery(op.off, op.n)
+	}
+	f.fsys.putReadOp(op)
+	done(arg, err)
+}
+
+// ReadAtCall performs one positioned read of n bytes at off and calls
+// done(arg, n, err) when it returns — the open-loop QoS workload's
+// primitive: no file pointer is shared or advanced, so thousands of
+// tenants can issue independent reads on their own open instances. The
+// call pays the client syscall cost, routes through the prefetcher when
+// one is installed, and accounts like Read (ReadCalls/BytesRead/ReadTime,
+// trace read-start/read-end). An invalid call (closed file, range
+// outside the file) calls done before returning.
+func (f *File) ReadAtCall(off, n int64, done func(any, int64, error), arg any) {
 	if f.closed {
 		done(arg, 0, ErrClosed)
 		return
@@ -463,47 +440,29 @@ func (f *File) ReadAtCall(off, n int64, done func(any, int64, error), arg any) {
 		return
 	}
 	fsys := f.fsys
-	op := fsys.getReadAtOp()
-	op.f, op.off, op.n, op.start, op.done, op.arg = f, off, n, fsys.k.Now(), done, arg
+	op := fsys.getReadOp()
+	op.f, op.off, op.n, op.start, op.doneAt, op.arg = f, off, n, fsys.k.Now(), done, arg
 	fsys.emit(trace.ReadStart, f.node, f.meta.name, off, n)
 	fsys.k.AfterCall(fsys.cfg.ClientCall, readAtIssue, op)
 }
 
-// readAtIssue runs when the client call's cost has elapsed: issue the
-// striped read, and finish now if it settled synchronously (Wait would
-// not have blocked), else when its signal fires.
+// readAtIssue runs when the client call's cost has elapsed.
 func readAtIssue(a any) {
-	op := a.(*readAtOp)
-	f := op.f
-	op.sig = f.fsys.getSig()
-	f.fsys.stripeIOInto(op.sig, f.node, f.tenant, f.meta, op.off, op.n, false)
-	if op.sig.Fired() {
-		op.finish(op.sig.Err())
-		return
-	}
-	op.sig.OnFireCall(readAtFired, op)
+	op := a.(*readOp)
+	op.f.readCall(op.off, op.n, readAtDone, op)
 }
 
-func readAtFired(a any, err error) { a.(*readAtOp).finish(err) }
-
-// finish is the tail of ReadAt after its wait: the counters on success,
-// then the read-end event on either path, then the caller's done.
-func (op *readAtOp) finish(err error) {
-	f, fsys := op.f, op.f.fsys
-	fsys.putSig(op.sig)
-	off, n := op.off, op.n
+// readAtDone is the tail of the read: the counters on success, then the
+// read-end event on either path, then the caller's done.
+func readAtDone(a any, err error) {
+	op := a.(*readOp)
+	f, off, n, done, arg := op.f, op.off, op.n, op.doneAt, op.arg
 	got := int64(0)
 	if err == nil {
-		f.IOBytes += n
-		f.RecordDelivery(off, n)
-		f.ReadCalls++
-		f.BytesRead += n
-		f.ReadTime.ObserveTime(fsys.k.Now() - op.start)
-		got = n
+		got = f.readDone(n, op.start)
 	}
-	fsys.emit(trace.ReadEnd, f.node, f.meta.name, off, n)
-	done, arg := op.done, op.arg
-	fsys.putReadAtOp(op)
+	f.fsys.emit(trace.ReadEnd, f.node, f.meta.name, off, n)
+	f.fsys.putReadOp(op)
 	done(arg, got, err)
 }
 

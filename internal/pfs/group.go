@@ -45,9 +45,6 @@ func NewOpenGroup(k *sim.Kernel, parties int) *OpenGroup {
 	}
 }
 
-// Parties reports the group size.
-func (g *OpenGroup) Parties() int { return g.parties }
-
 // join registers an open instance and returns its rank.
 func (g *OpenGroup) join(f *File) int {
 	if g.nextRnk >= g.parties {

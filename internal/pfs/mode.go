@@ -60,9 +60,5 @@ func (m Mode) Collective() bool {
 	return m == MSync || m == MRecord || m == MGlobal
 }
 
-// SharedPointer reports whether the mode reads through the shared file
-// pointer (as opposed to per-node pointers).
-func (m Mode) SharedPointer() bool { return m != MAsync }
-
 // Valid reports whether m is one of the defined modes.
 func (m Mode) Valid() bool { return m >= MUnix && m <= MAsync }

@@ -109,7 +109,7 @@ func TestRemoveSemantics(t *testing.T) {
 // the blocks.
 func TestRemoveReclaimsSpace(t *testing.T) {
 	r := newRig(t, 1, 1) // one I/O node: its UFS bounds the volume
-	cap := r.fsys.Servers()[0].FS()
+	cap := r.fsys.servers[0].FS()
 	_ = cap
 	big := int64(6) << 30 // ~6 GB of the ~7 GB volume... size depends on geometry
 	// Find a size that fits once but not twice.

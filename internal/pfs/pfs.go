@@ -111,7 +111,7 @@ type FileSystem struct {
 	sigFree     []*sim.Signal   // pooled signals for blocking stripe ops
 	stripeFree  []*stripeOp     // pooled per-op bookkeeping
 	attemptFree []*pieceAttempt // pooled per-attempt bookkeeping
-	readAtFree  []*readAtOp     // pooled ReadAtCall state
+	readFree    []*readOp       // pooled stripe read and ReadAtCall state
 
 	// Generation-stamped per-server merge index for declusterInto: slot
 	// s holds the index in pieceBuf of server s's latest piece when its
@@ -178,15 +178,9 @@ func Mount(k *sim.Kernel, m *mesh.Mesh, servers []*ionode.Server, cfg Config) *F
 	}
 }
 
-// Config returns the mount configuration.
-func (fsys *FileSystem) Config() Config { return fsys.cfg }
-
 // SetTrace attaches (or with nil detaches) an event timeline covering
 // read calls and stripe traffic on this mount.
 func (fsys *FileSystem) SetTrace(l *trace.Log) { fsys.tr = l }
-
-// Trace returns the attached timeline, if any.
-func (fsys *FileSystem) Trace() *trace.Log { return fsys.tr }
 
 // emit records a trace event when tracing is enabled.
 func (fsys *FileSystem) emit(kind trace.Kind, node int, file string, off, n int64) {
@@ -198,9 +192,6 @@ func (fsys *FileSystem) emit(kind trace.Kind, node int, file string, off, n int6
 		}
 	}
 }
-
-// Servers returns the mount's I/O node servers.
-func (fsys *FileSystem) Servers() []*ionode.Server { return fsys.servers }
 
 // SetTenants arms per-tenant late/abandoned byte accounting for n
 // tenants (n <= 0 disarms it). Files are attributed by File.SetTenant;

@@ -205,7 +205,7 @@ func TestStripeFilesBalanced(t *testing.T) {
 	if err := r.fsys.Create("f", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	for i, srv := range r.fsys.Servers() {
+	for i, srv := range r.fsys.servers {
 		sz, err := srv.FS().Size("pfs:/f")
 		if err != nil || sz != 256<<10 {
 			t.Fatalf("I/O node %d stripe size = %d, %v; want 256KiB", i, sz, err)
@@ -217,7 +217,7 @@ func TestStripeFilesBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int64{64 << 10, 2 * 64 << 10, 64 << 10, 64 << 10}
-	for i, srv := range r.fsys.Servers() {
+	for i, srv := range r.fsys.servers {
 		sz, _ := srv.FS().Size("pfs:/g")
 		if sz != want[i] {
 			t.Fatalf("I/O node %d stripe of g = %d, want %d", i, sz, want[i])
@@ -287,7 +287,7 @@ func TestAsyncSequentialRead(t *testing.T) {
 	}
 	// Everything came off the I/O nodes exactly once.
 	var served int64
-	for _, srv := range r.fsys.Servers() {
+	for _, srv := range r.fsys.servers {
 		served += srv.BytesServed
 	}
 	if served != size {
@@ -453,7 +453,7 @@ func TestGlobalModeBroadcasts(t *testing.T) {
 		t.Fatalf("M_GLOBAL total = %d, want %d", total, int64(parties)*fileSize)
 	}
 	var served int64
-	for _, srv := range r.fsys.Servers() {
+	for _, srv := range r.fsys.servers {
 		served += srv.BytesServed
 	}
 	if served != fileSize {
@@ -530,8 +530,8 @@ func TestARTFIFOAndCompletion(t *testing.T) {
 			a.Done.OnFireCall(func(any, error) { order = append(order, i) }, nil)
 			reqs = append(reqs, a)
 		}
-		if f.AsyncIssued() != 4 {
-			t.Errorf("AsyncIssued = %d", f.AsyncIssued())
+		if f.art.issued != 4 {
+			t.Errorf("AsyncIssued = %d", f.art.issued)
 		}
 		for _, a := range reqs {
 			if err := a.Done.Wait(p); err != nil {
@@ -609,9 +609,6 @@ func TestModeStringsAndPredicates(t *testing.T) {
 	}
 	if !MRecord.Collective() || MAsync.Collective() {
 		t.Fatal("Collective predicate wrong")
-	}
-	if MAsync.SharedPointer() || !MUnix.SharedPointer() {
-		t.Fatal("SharedPointer predicate wrong")
 	}
 	if Mode(-1).Valid() || Mode(6).Valid() || !MGlobal.Valid() {
 		t.Fatal("Valid predicate wrong")

@@ -84,10 +84,33 @@ func seededReads(seed int64, files []*File, count int, span sim.Time) []readAtRe
 	return reqs
 }
 
-// runReadAt drives the scenario's requests through ReadAt on one process
-// per request, or (callback) through ReadAtCall. Each request starts
-// with one zero-delay event at its instant on both paths, as a spawned
-// process does.
+// refReadAt is the process form of ReadAtCall, kept as its reference
+// (it was File.ReadAt): it sleeps through the client call and parks in
+// performRead.
+func refReadAt(p *sim.Proc, f *File, off, n int64) (int64, error) {
+	if f.closed {
+		return 0, ErrClosed
+	}
+	if off < 0 || n <= 0 || off+n > f.meta.size {
+		return 0, fmt.Errorf("pfs: read [%d,+%d) outside %s (%d bytes)", off, n, f.meta.name, f.meta.size)
+	}
+	start := p.Now()
+	f.fsys.emit(trace.ReadStart, f.node, f.meta.name, off, n)
+	defer func() { f.fsys.emit(trace.ReadEnd, f.node, f.meta.name, off, n) }()
+	p.Sleep(f.fsys.cfg.ClientCall)
+	if err := f.performRead(p, off, n); err != nil {
+		return 0, err
+	}
+	f.ReadCalls++
+	f.BytesRead += n
+	f.ReadTime.ObserveTime(p.Now() - start)
+	return n, nil
+}
+
+// runReadAt drives the scenario's requests through refReadAt on one
+// process per request, or (callback) through ReadAtCall. Each request
+// starts with one zero-delay event at its instant on both paths, as a
+// spawned process does.
 func runReadAt(t *testing.T, sc readAtScenario, seed int64, callback bool) (readAtRun, []readAtReq) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -133,7 +156,7 @@ func runReadAt(t *testing.T, sc readAtScenario, seed int64, callback bool) (read
 		r.k.At(rq.at, func() {
 			if !callback {
 				r.k.Go("reader", func(p *sim.Proc) {
-					n, err := f.ReadAt(p, rq.off, rq.n)
+					n, err := refReadAt(p, f, rq.off, rq.n)
 					record(i, n, err)
 				})
 				return
@@ -158,7 +181,8 @@ func runReadAt(t *testing.T, sc readAtScenario, seed int64, callback bool) (read
 	return run, reqs
 }
 
-// TestReadAtCallMatchesReadAt pins ReadAtCall to ReadAt event for event:
+// TestReadAtCallMatchesReadAt pins ReadAtCall to refReadAt event for
+// event:
 // the same seeded reads through both paths must return at the same
 // instants with the same results, leave the same counters (also as seen
 // at every read-end event), the same delivery and trace digests, and
@@ -247,7 +271,7 @@ func TestReadAtCallMatchesReadAt(t *testing.T) {
 			name: "throttled",
 			setup: func(t *testing.T, r *rig, _ []*disk.Array) []*File {
 				r.fsys.SetTenants(2)
-				for _, s := range r.fsys.Servers() {
+				for _, s := range r.fsys.servers {
 					s.SetFairPolicy(ionode.FairPolicy{Tenants: 2, Slots: 1,
 						RatePerWeight: 64 << 10, BurstBytes: 32 << 10})
 				}
@@ -260,7 +284,7 @@ func TestReadAtCallMatchesReadAt(t *testing.T) {
 		{
 			name: "overloaded",
 			setup: func(t *testing.T, r *rig, arrays []*disk.Array) []*File {
-				r.fsys.Servers()[0].SetShedPolicy(ionode.ShedPolicy{Threshold: 1, Cooldown: sim.Second})
+				r.fsys.servers[0].SetShedPolicy(ionode.ShedPolicy{Threshold: 1, Cooldown: sim.Second})
 				for j, d := range arrays[0].Members() {
 					d.InjectFaultProfile(disk.FaultProfile{Rate: 1, Seed: int64(j + 1)})
 				}
@@ -277,7 +301,7 @@ func TestReadAtCallMatchesReadAt(t *testing.T) {
 				c.Retry = RetryPolicy{DownPoll: sim.Millisecond, DownDeadline: 5 * sim.Millisecond}
 			},
 			setup: func(t *testing.T, r *rig, _ []*disk.Array) []*File {
-				r.fsys.Servers()[2].Crash(10 * sim.Second)
+				r.fsys.servers[2].Crash(10 * sim.Second)
 				files := twoFiles(t, r)
 				if err := r.fsys.CreateStriped("down", 512<<10, 64<<10, []int{2}); err != nil {
 					t.Fatal(err)
@@ -297,6 +321,34 @@ func TestReadAtCallMatchesReadAt(t *testing.T) {
 				return errors.New("no read failed at its issue instant")
 			},
 		},
+		{
+			name: "prefetch-attached",
+			setup: func(t *testing.T, r *rig, _ []*disk.Array) []*File {
+				files := twoFiles(t, r)
+				for _, f := range files {
+					f.SetPrefetcher(copyPrefetch{k: r.k, copy: 300 * sim.Microsecond})
+				}
+				return files
+			},
+			edit: func(reqs []readAtReq, _ []*File) {
+				// Every third read starts on a boundary the service serves
+				// at once.
+				for i := range reqs {
+					if i%3 == 0 {
+						reqs[i].off -= reqs[i].off % (48 << 10)
+					}
+				}
+			},
+			want: func(run readAtRun, reqs []readAtReq) error {
+				if run.final.readCalls != int64(len(reqs)) {
+					return fmt.Errorf("%d of %d reads succeeded", run.final.readCalls, len(reqs))
+				}
+				if run.final.ioBytes == 0 || run.final.ioBytes == run.final.delivered {
+					return fmt.Errorf("%d bytes read from the stripes of %d delivered: no hit or no miss", run.final.ioBytes, run.final.delivered)
+				}
+				return nil
+			},
+		},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -308,57 +360,54 @@ func TestReadAtCallMatchesReadAt(t *testing.T) {
 				}
 				for i := range procs.outcomes {
 					if p, c := procs.outcomes[i], calls.outcomes[i]; p != c {
-						t.Fatalf("seed %d read %d %+v: ReadAt returned %+v, ReadAtCall %+v", seed, i, reqs[i], p, c)
+						t.Fatalf("seed %d read %d %+v: refReadAt returned %+v, ReadAtCall %+v", seed, i, reqs[i], p, c)
 					}
 				}
 				if procs.final != calls.final {
-					t.Fatalf("seed %d: counters %+v with ReadAt, %+v with ReadAtCall", seed, procs.final, calls.final)
+					t.Fatalf("seed %d: counters %+v with refReadAt, %+v with ReadAtCall", seed, procs.final, calls.final)
 				}
 				if len(procs.atEnd) != len(calls.atEnd) {
-					t.Fatalf("seed %d: %d read-end events with ReadAt, %d with ReadAtCall", seed, len(procs.atEnd), len(calls.atEnd))
+					t.Fatalf("seed %d: %d read-end events with refReadAt, %d with ReadAtCall", seed, len(procs.atEnd), len(calls.atEnd))
 				}
 				for i := range procs.atEnd {
 					if procs.atEnd[i] != calls.atEnd[i] {
-						t.Fatalf("seed %d read-end %d: counters %+v with ReadAt, %+v with ReadAtCall", seed, i, procs.atEnd[i], calls.atEnd[i])
+						t.Fatalf("seed %d read-end %d: counters %+v with refReadAt, %+v with ReadAtCall", seed, i, procs.atEnd[i], calls.atEnd[i])
 					}
 				}
 				for i := range procs.digests {
 					if procs.digests[i] != calls.digests[i] {
-						t.Fatalf("seed %d file %d: delivery digest %#x with ReadAt, %#x with ReadAtCall", seed, i, procs.digests[i], calls.digests[i])
+						t.Fatalf("seed %d file %d: delivery digest %#x with refReadAt, %#x with ReadAtCall", seed, i, procs.digests[i], calls.digests[i])
 					}
 				}
 				if procs.trace != calls.trace {
-					t.Fatalf("seed %d: trace digest %#x with ReadAt, %#x with ReadAtCall", seed, procs.trace, calls.trace)
+					t.Fatalf("seed %d: trace digest %#x with refReadAt, %#x with ReadAtCall", seed, procs.trace, calls.trace)
 				}
 				if procs.executed != calls.executed {
-					t.Fatalf("seed %d: %d events with ReadAt, %d with ReadAtCall", seed, procs.executed, calls.executed)
+					t.Fatalf("seed %d: %d events with refReadAt, %d with ReadAtCall", seed, procs.executed, calls.executed)
 				}
 			}
 		})
 	}
 }
 
-// TestReadAtCallPanicsWithPrefetcher: the prefetcher's ServeRead blocks
-// a process, so the callback form refuses a file that has one.
-func TestReadAtCallPanicsWithPrefetcher(t *testing.T) {
-	r := newRig(t, 1, 2)
-	if err := r.fsys.Create("f", 256<<10); err != nil {
-		t.Fatal(err)
-	}
-	f, err := r.fsys.Open("f", 0, MAsync, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetPrefetcher(nopPrefetch{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ReadAtCall on a file with a prefetcher did not panic")
-		}
-	}()
-	f.ReadAtCall(0, 64<<10, func(any, int64, error) {}, nil)
+// copyPrefetch is a stand-in prefetch service with the shapes of the
+// real one: a read whose range starts on a 48 KiB boundary is a hit
+// served at once (a free copy with nothing to issue); any other waits
+// out a copy delay and then reads the range directly.
+type copyPrefetch struct {
+	k    *sim.Kernel
+	copy sim.Time
 }
 
-type nopPrefetch struct{}
+func (c copyPrefetch) ServeReadCall(f *File, off, n int64, done func(any, error), arg any) {
+	if off%(48<<10) == 0 {
+		f.RecordDelivery(off, n)
+		done(arg, nil)
+		return
+	}
+	c.k.After(c.copy, func() {
+		f.StripeReadCall(off, n, func(_ any, err error) { done(arg, err) }, nil)
+	})
+}
 
-func (nopPrefetch) ServeRead(*sim.Proc, *File, int64, int64) error { return nil }
-func (nopPrefetch) OnClose(*File)                                  {}
+func (copyPrefetch) OnClose(*File) {}

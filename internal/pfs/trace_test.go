@@ -12,7 +12,7 @@ func TestTraceRecordsReadsAndStripes(t *testing.T) {
 	r := newRig(t, 1, 4)
 	tl := trace.NewLog(1024)
 	r.fsys.SetTrace(tl)
-	if r.fsys.Trace() != tl {
+	if r.fsys.tr != tl {
 		t.Fatal("Trace accessor broken")
 	}
 	if err := r.fsys.Create("f", 512<<10); err != nil {
@@ -70,7 +70,7 @@ func TestNoTraceNoOverhead(t *testing.T) {
 	if err := r.k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.fsys.Trace() != nil {
+	if r.fsys.tr != nil {
 		t.Fatal("trace attached unexpectedly")
 	}
 }

@@ -57,7 +57,7 @@ func TestIWriteAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	var served int64
-	for _, srv := range r.fsys.Servers() {
+	for _, srv := range r.fsys.servers {
 		served += srv.BytesServed
 	}
 	if served != 128<<10 {

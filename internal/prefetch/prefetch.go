@@ -102,14 +102,14 @@ func entryFillDone(v any, err error) {
 // open files; state is per open instance, as in the prototype (the list
 // hangs off the file's internal structure).
 type Prefetcher struct {
-	k        *sim.Kernel
-	cfg      Config
-	lists    map[*pfs.File][]*entry
-	adapt    map[*pfs.File]*adaptState
-	free     []*entry // entry pool; each keeps its Async for reuse
-	spanFree [][]Span // pooled span lists, one per issue in progress
-	track    tracker  // non-nil when the predictor wants outcome attribution
-	ctl      *controller
+	k     *sim.Kernel
+	cfg   Config
+	lists map[*pfs.File][]*entry
+	adapt map[*pfs.File]*adaptState
+	free  []*entry   // entry pool; each keeps its Async for reuse
+	ops   []*serveOp // pooled per-read state; each keeps its span list
+	track tracker    // non-nil when the predictor wants outcome attribution
+	ctl   *controller
 
 	// Measurements.
 	Issued        int64           // prefetch requests queued on the ART
@@ -184,117 +184,227 @@ func New(k *sim.Kernel, cfg Config) *Prefetcher {
 // f.SetPrefetcher(pf).
 func (pf *Prefetcher) Attach(f *pfs.File) { f.SetPrefetcher(pf) }
 
-// ServeRead satisfies the user read at [off, off+n) per the prototype's
-// policy, then issues read-ahead for the anticipated next record(s).
-func (pf *Prefetcher) ServeRead(p *sim.Proc, f *pfs.File, off, n int64) error {
-	var st *adaptState
+// serveOp is the pooled state of one ServeReadCall: what a read keeps
+// across its waits — the in-flight prefetch, the direct read, the buffer
+// copy and the issue overhead of each span it posts.
+type serveOp struct {
+	pf        *Prefetcher
+	f         *pfs.File
+	off, n    int64
+	st        *adaptState // the file's adaptive state; nil unless Adaptive
+	e         *entry      // the matched buffer; nil on a miss
+	start     sim.Time    // when the wait or the direct read began
+	hitServed bool        // bytes came out of a prefetch buffer
+	direct    bool        // bytes came from a measured direct read
+	service   sim.Time    // the direct read's service time
+	src       int         // registry source of this read's advice
+	spans     []Span      // this read's own predicted spans
+	next      int         // the next span to screen
+	done      func(any, error)
+	arg       any
+}
+
+// ServeReadCall satisfies the user read at [off, off+n) per the
+// prototype's policy, then issues read-ahead for the anticipated next
+// record(s), and calls done(arg, err) when both are over.
+func (pf *Prefetcher) ServeReadCall(f *pfs.File, off, n int64, done func(any, error), arg any) {
+	var op *serveOp
+	if k := len(pf.ops); k > 0 {
+		op, pf.ops = pf.ops[k-1], pf.ops[:k-1]
+	} else {
+		op = &serveOp{pf: pf}
+	}
+	op.f, op.off, op.n, op.done, op.arg = f, off, n, done, arg
 	if pf.cfg.Adaptive {
-		var ok bool
-		if st, ok = pf.adapt[f]; !ok {
+		st, ok := pf.adapt[f]
+		if !ok {
 			st = &adaptState{}
 			pf.adapt[f] = st
 		}
 		if st.seen {
-			st.gapEWMA = ewma(st.gapEWMA, (p.Now() - st.lastEnd).Seconds(), st.gapSamples)
+			st.gapEWMA = ewma(st.gapEWMA, (pf.k.Now() - st.lastEnd).Seconds(), st.gapSamples)
 			st.gapSamples++
 		}
+		op.st = st
 	}
-	var (
-		err       error
-		hitServed bool     // bytes came out of a prefetch buffer
-		direct    bool     // bytes came from a measured direct read
-		service   sim.Time // the direct read's service time
-	)
-	if e, _ := pf.lookup(f, off, n); e != nil {
-		waited := false
-		if !e.req.Done.Fired() {
-			// Miss-when-presented but mostly done: wait out the remainder.
-			waited = true
-			waitFrom := p.Now()
-			e.req.Done.Wait(p)
-			pf.WaitTime.ObserveTime(p.Now() - waitFrom)
-		}
-		err = e.req.Done.Err()
-		pf.removeEntry(f, e)
-		switch {
-		case err != nil:
-			// The prefetch failed at the disk; the user read must not
-			// inherit a speculative request's error. Fall back to the
-			// normal Fast Path read.
-			pf.Fallbacks++
-			ioStart := p.Now()
-			err = f.BlockingIO(p, off, n)
-			if err == nil {
-				f.RecordDelivery(off, n)
-				pf.BytesDirect += n
-				direct, service = true, p.Now()-ioStart
-			}
-		case waited:
-			pf.HitsInWait++
-			pf.emit(p, trace.PrefetchWait, f, off, n)
-		default:
-			pf.Hits++
-			pf.emit(p, trace.PrefetchHit, f, off, n)
-		}
-		if err == nil && e.req.Done.Err() == nil {
-			// The user's bytes come out of the consumed buffer, from its
-			// start — the range recorded is the buffer's, not the
-			// request's, so a lookup that matched the wrong buffer is
-			// visible to the data-correctness oracle.
-			f.RecordDelivery(e.off, n)
-			pf.BytesCopied += n
-			hitServed = true
-			if pf.track != nil {
-				pf.track.noteConsumed(f, e.src)
-			}
-			if !pf.cfg.FreeCopy {
-				// Prefetch buffer -> user buffer copy; Fast Path avoids this.
-				p.Sleep(sim.Time(float64(n) / pf.cfg.MemBandwidth * float64(sim.Second)))
-			}
-		}
-		// The entry is consumed: off the list, outcome read. A failed
-		// fill's retirement callback has necessarily run by now (it was
-		// scheduled at the firing instant), so recycling cannot race it.
-		pf.putEntry(e)
-	} else {
+	op.e = pf.lookup(f, off, n)
+	op.start = pf.k.Now()
+	switch {
+	case op.e == nil:
 		pf.Misses++
-		pf.emit(p, trace.PrefetchMiss, f, off, n)
-		ioStart := p.Now()
-		err = f.BlockingIO(p, off, n)
-		if err == nil {
-			f.RecordDelivery(off, n)
-			pf.BytesDirect += n
-			direct, service = true, p.Now()-ioStart
-			if st != nil {
-				st.serviceEWMA = ewma(st.serviceEWMA, service.Seconds(), st.serviceSamples)
-				st.serviceSamples++
-			}
+		pf.emit(trace.PrefetchMiss, f, off, n)
+		f.StripeReadCall(off, n, serveDirect, op)
+	case !op.e.req.Done.Fired():
+		// Miss-when-presented but mostly done: wait out the remainder. The
+		// wait takes a waiter's slot, ahead of the entryFillDone booked at
+		// issue, so a failed fill is consumed here before it is retired.
+		op.e.req.Done.WaitCall(serveWaited, op)
+	default:
+		op.consume(false)
+	}
+}
+
+// serveWaited runs when the awaited prefetch has landed (or failed).
+func serveWaited(a any, _ error) {
+	op := a.(*serveOp)
+	op.pf.WaitTime.ObserveTime(op.pf.k.Now() - op.start)
+	op.consume(true)
+}
+
+// consume takes the matched buffer off the list and copies the user's
+// bytes out of it, or — when its prefetch failed — falls back to a direct
+// read: the user read must not inherit a speculative request's error.
+func (op *serveOp) consume(waited bool) {
+	pf, f, e := op.pf, op.f, op.e
+	pf.removeEntry(f, e)
+	switch {
+	case e.req.Done.Err() != nil:
+		pf.Fallbacks++
+		op.start = pf.k.Now()
+		f.StripeReadCall(op.off, op.n, serveDirect, op)
+		return
+	case waited:
+		pf.HitsInWait++
+		pf.emit(trace.PrefetchWait, f, op.off, op.n)
+	default:
+		pf.Hits++
+		pf.emit(trace.PrefetchHit, f, op.off, op.n)
+	}
+	// The user's bytes come out of the consumed buffer, from its start —
+	// the range recorded is the buffer's, not the request's, so a lookup
+	// that matched the wrong buffer is visible to the data-correctness
+	// oracle.
+	f.RecordDelivery(e.off, op.n)
+	pf.BytesCopied += op.n
+	op.hitServed = true
+	if pf.track != nil {
+		pf.track.noteConsumed(f, e.src)
+	}
+	if !pf.cfg.FreeCopy {
+		// Prefetch buffer -> user buffer copy; Fast Path avoids this.
+		pf.k.AfterCall(sim.Time(float64(op.n)/pf.cfg.MemBandwidth*float64(sim.Second)), serveCopied, op)
+		return
+	}
+	op.served(nil)
+}
+
+func serveCopied(a any) { a.(*serveOp).served(nil) }
+
+// serveDirect completes a direct read: a miss's, or (op.e set) the one
+// that replaced a failed prefetch.
+func serveDirect(a any, err error) {
+	op := a.(*serveOp)
+	pf := op.pf
+	if err == nil {
+		pf.BytesDirect += op.n
+		op.direct, op.service = true, pf.k.Now()-op.start
+		if st := op.st; st != nil && op.e == nil {
+			st.serviceEWMA = ewma(st.serviceEWMA, op.service.Seconds(), st.serviceSamples)
+			st.serviceSamples++
 		}
+	}
+	op.served(err)
+}
+
+// served recycles the consumed entry, if any (a failed fill's retirement
+// callback has run by now, booked behind this read's wait, so recycling
+// cannot race it). Then, unless the adaptive policy throttles it, it
+// issues read-ahead for the Depth spans the predictor expects this node
+// to read next — with the default ModePredictor derived from the read
+// request itself (offset, size, mode, rank), as in the prototype.
+func (op *serveOp) served(err error) {
+	pf, f := op.pf, op.f
+	if op.e != nil {
+		pf.putEntry(op.e)
+		op.e = nil
 	}
 	if err != nil {
-		return err
+		op.finish(err)
+		return
 	}
-	pf.cfg.Predictor.Observe(f, off, n)
-	if st == nil || st.allowIssue() {
-		pf.issue(p, f, off, n)
-	} else {
+	pf.cfg.Predictor.Observe(f, op.off, op.n)
+	if op.st != nil && !op.st.allowIssue() {
 		pf.Throttled++
+		op.finish(nil)
+		return
 	}
-	if st != nil {
-		st.lastEnd = p.Now()
-		st.seen = true
+	op.src = -1
+	if pf.track != nil {
+		// The selection is a pure function of the registry's counters, so
+		// this is the same source Predict forwards to below.
+		op.src = pf.track.selectedSource(f)
 	}
-	if pf.ctl != nil {
-		pf.ctl.observe(hitServed, direct, service)
-		if nd, nb, changed := pf.ctl.window(pf.cfg.Depth, pf.cfg.MaxBuffers); changed {
-			// The retuned knobs take effect at the next read's issue; the
-			// timeline records the decision (Off = new depth, N = new cap).
-			pf.cfg.Depth, pf.cfg.MaxBuffers = nd, nb
-			pf.Retunes++
-			pf.emit(p, trace.PrefetchRetune, f, int64(nd), int64(nb))
+	op.spans = pf.cfg.Predictor.Predict(f, op.off, op.n, pf.cfg.Depth, op.spans[:0])
+	op.next = 0
+	op.issueNext()
+}
+
+// issueNext screens the spans from op.next on and books the issue
+// overhead of the first one to post; with none left, the read is over.
+func (op *serveOp) issueNext() {
+	pf, f := op.pf, op.f
+	for ; op.next < len(op.spans); op.next++ {
+		span := op.spans[op.next]
+		if pf.lookup(f, span.Off, 0) != nil { // some buffer already starts there
+			continue
+		}
+		if len(pf.lists[f]) >= pf.cfg.MaxBuffers {
+			// The cap suppresses this span and every later one; count each
+			// suppressed span so Skipped tallies lost read-ahead, not cap
+			// encounters. Spans already covered are not losses and are
+			// screened out above.
+			pf.Skipped++
+			continue
+		}
+		// The user thread pays the setup cost of posting the
+		// asynchronous request.
+		pf.k.AfterCall(pf.cfg.IssueOverhead, serveIssue, op)
+		return
+	}
+	op.finish(nil)
+}
+
+// serveIssue posts the span whose issue overhead has elapsed.
+func serveIssue(a any) {
+	op := a.(*serveOp)
+	pf, f, span := op.pf, op.f, op.spans[op.next]
+	op.next++
+	e := pf.getEntry()
+	e.off, e.n, e.f, e.src = span.Off, span.N, f, op.src
+	e.req = f.IReadAtReusing(e.req, span.Off, span.N)
+	pf.lists[f] = append(pf.lists[f], e)
+	e.req.Done.OnFireCall(entryFillDone, e)
+	pf.Issued++
+	if pf.track != nil {
+		pf.track.noteIssued(f, op.src)
+	}
+	pf.emit(trace.PrefetchIssue, f, span.Off, span.N)
+	op.issueNext()
+}
+
+// finish ends a served read — on success the adaptive policy's clock and
+// the controller's window — then recycles the op and calls done.
+func (op *serveOp) finish(err error) {
+	pf, f, done, arg := op.pf, op.f, op.done, op.arg
+	if err == nil {
+		if st := op.st; st != nil {
+			st.lastEnd = pf.k.Now()
+			st.seen = true
+		}
+		if pf.ctl != nil {
+			pf.ctl.observe(op.hitServed, op.direct, op.service)
+			if nd, nb, changed := pf.ctl.window(pf.cfg.Depth, pf.cfg.MaxBuffers); changed {
+				// The retuned knobs take effect at the next read's issue; the
+				// timeline records the decision (Off = new depth, N = new cap).
+				pf.cfg.Depth, pf.cfg.MaxBuffers = nd, nb
+				pf.Retunes++
+				pf.emit(trace.PrefetchRetune, f, int64(nd), int64(nb))
+			}
 		}
 	}
-	return nil
+	*op = serveOp{pf: pf, spans: op.spans[:0]}
+	pf.ops = append(pf.ops, op)
+	done(arg, err)
 }
 
 // allowIssue decides whether read-ahead is worth it: optimistic until the
@@ -370,13 +480,13 @@ func (pf *Prefetcher) putEntry(e *entry) {
 // lookup finds a buffer whose region covers [off, off+n) starting exactly
 // at off, the match rule of the prototype (buffers are tagged with the
 // PFS file offset and size).
-func (pf *Prefetcher) lookup(f *pfs.File, off, n int64) (*entry, int) {
-	for i, e := range pf.lists[f] {
+func (pf *Prefetcher) lookup(f *pfs.File, off, n int64) *entry {
+	for _, e := range pf.lists[f] {
 		if e.off == off && e.n >= n {
-			return e, i
+			return e
 		}
 	}
-	return nil, -1
+	return nil
 }
 
 // removeEntry drops e from f's list by identity. A no-op when the entry
@@ -407,80 +517,12 @@ func (pf *Prefetcher) retire(f *pfs.File, e *entry) {
 	}
 }
 
-// issue queues read-ahead for the Depth spans the predictor expects this
-// node to read next after [off, off+n). With the default ModePredictor
-// the prediction is derived from the read request itself (offset, size,
-// mode, rank), as in the prototype.
-func (pf *Prefetcher) issue(p *sim.Proc, f *pfs.File, off, n int64) {
-	src := -1
-	if pf.track != nil {
-		// The selection is a pure function of the registry's counters, so
-		// this is the same source Predict forwards to below.
-		src = pf.track.selectedSource(f)
-	}
-	// The list is this read's own: the issue sleeps between spans, and
-	// another node's read predicts in the meantime.
-	spans := pf.getSpans()
-	spans = pf.cfg.Predictor.Predict(f, off, n, pf.cfg.Depth, spans)
-	defer pf.putSpans(spans)
-	for _, span := range spans {
-		if pf.covered(f, span.Off) {
-			continue
-		}
-		if len(pf.lists[f]) >= pf.cfg.MaxBuffers {
-			// The cap suppresses this span and every later one; count each
-			// suppressed span so Skipped tallies lost read-ahead, not cap
-			// encounters. Spans already covered are not losses and are
-			// screened out above.
-			pf.Skipped++
-			continue
-		}
-		// The user thread pays the setup cost of posting the
-		// asynchronous request.
-		p.Sleep(pf.cfg.IssueOverhead)
-		e := pf.getEntry()
-		e.off, e.n, e.f, e.src = span.Off, span.N, f, src
-		e.req = f.IReadAtReusing(e.req, span.Off, span.N)
-		pf.lists[f] = append(pf.lists[f], e)
-		e.req.Done.OnFireCall(entryFillDone, e)
-		pf.Issued++
-		if pf.track != nil {
-			pf.track.noteIssued(f, src)
-		}
-		pf.emit(p, trace.PrefetchIssue, f, span.Off, span.N)
-	}
-}
-
-func (pf *Prefetcher) getSpans() []Span {
-	if n := len(pf.spanFree); n > 0 {
-		l := pf.spanFree[n-1]
-		pf.spanFree = pf.spanFree[:n-1]
-		return l
-	}
-	return nil
-}
-
-func (pf *Prefetcher) putSpans(l []Span) { pf.spanFree = append(pf.spanFree, l[:0]) }
-
 // emit records a prefetch decision on the configured timeline.
-func (pf *Prefetcher) emit(p *sim.Proc, kind trace.Kind, f *pfs.File, off, n int64) {
+func (pf *Prefetcher) emit(kind trace.Kind, f *pfs.File, off, n int64) {
 	if pf.cfg.Trace != nil {
-		pf.cfg.Trace.Add(trace.Event{T: p.Now(), Kind: kind, Node: f.Node(), File: f.Name(), Off: off, N: n})
+		pf.cfg.Trace.Add(trace.Event{T: pf.k.Now(), Kind: kind, Node: f.Node(), File: f.Name(), Off: off, N: n})
 	}
 }
-
-// covered reports whether some buffer already starts at off.
-func (pf *Prefetcher) covered(f *pfs.File, off int64) bool {
-	for _, e := range pf.lists[f] {
-		if e.off == off {
-			return true
-		}
-	}
-	return false
-}
-
-// Outstanding reports the number of buffers currently held for f.
-func (pf *Prefetcher) Outstanding(f *pfs.File) int { return len(pf.lists[f]) }
 
 // Zoo returns the predictor registry when the configured policy carries
 // one (the hybrid), nil otherwise.

@@ -102,7 +102,7 @@ func NewRegistry() *Registry {
 }
 
 // Register adds a named source. Registration order is significant: it is
-// the selection tie-breaker and the index space of Stats and Totals.
+// the selection tie-breaker and the index space of Totals.
 func (r *Registry) Register(name string, p Predictor) {
 	if name == "" || p == nil {
 		panic("prefetch: registry source needs a name and a predictor")
@@ -112,25 +112,11 @@ func (r *Registry) Register(name string, p Predictor) {
 	r.totals = append(r.totals, SourceStats{})
 }
 
-// Names returns the registered source names in registration order.
-func (r *Registry) Names() []string { return r.names }
-
-// Stats returns a snapshot of f's per-source tallies (nil if the stream
-// has no state yet), indexed like Names.
-func (r *Registry) Stats(f *pfs.File) []SourceStats {
-	st, ok := r.streams[f]
-	if !ok {
-		return nil
-	}
-	out := make([]SourceStats, len(st.stats))
-	copy(out, st.stats)
-	return out
-}
-
 // Totals returns the per-source tallies folded from closed streams,
-// indexed like Names. Call after the streams have closed; live streams
-// are not included (summing them would mean iterating a map, and the
-// fold at close already covers every stream a finished run had).
+// indexed in registration order. Call after the streams have closed;
+// live streams are not included (summing them would mean iterating a
+// map, and the fold at close already covers every stream a finished run
+// had).
 func (r *Registry) Totals() []SourceStats {
 	out := make([]SourceStats, len(r.totals))
 	copy(out, r.totals)

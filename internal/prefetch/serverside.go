@@ -13,6 +13,7 @@ import (
 // with buffering enabled (pfs.Config.FastPath = false); under Fast Path
 // the hints are wasted work, since reads bypass the caches.
 type ServerSide struct {
+	k   *sim.Kernel
 	cfg ServerSideConfig
 
 	// Measurements.
@@ -33,42 +34,64 @@ func DefaultServerSideConfig() ServerSideConfig {
 
 var _ pfs.PrefetchService = (*ServerSide)(nil)
 
-// NewServerSide returns a server-side placement service.
-func NewServerSide(cfg ServerSideConfig) *ServerSide {
+// NewServerSide returns a server-side placement service on kernel k.
+func NewServerSide(k *sim.Kernel, cfg ServerSideConfig) *ServerSide {
 	if cfg.Depth <= 0 {
 		panic("prefetch: server-side depth must be positive")
 	}
-	return &ServerSide{cfg: cfg}
+	return &ServerSide{k: k, cfg: cfg}
 }
 
 // Attach installs the service on an open file.
 func (ss *ServerSide) Attach(f *pfs.File) { f.SetPrefetcher(ss) }
 
-// ServeRead performs the read normally (warm caches make it fast) and
-// hints the predicted next record(s).
-func (ss *ServerSide) ServeRead(p *sim.Proc, f *pfs.File, off, n int64) error {
+// hintOp is the state of one server-side ServeReadCall.
+type hintOp struct {
+	ss   *ServerSide
+	f    *pfs.File
+	n    int64
+	next int64 // the record to hint next
+	d    int   // records hinted so far
+	done func(any, error)
+	arg  any
+}
+
+// ServeReadCall performs the read normally (warm caches make it fast),
+// hints the predicted next record(s), and calls done(arg, err).
+func (ss *ServerSide) ServeReadCall(f *pfs.File, off, n int64, done func(any, error), arg any) {
 	ss.Reads++
-	if err := f.BlockingIO(p, off, n); err != nil {
-		return err
+	f.StripeReadCall(off, n, hintRead, &hintOp{ss: ss, f: f, n: n, next: off, done: done, arg: arg})
+}
+
+func hintRead(a any, err error) {
+	op := a.(*hintOp)
+	if err == nil {
+		op.next = op.f.NextRecordOffset(op.next, op.n)
 	}
-	f.RecordDelivery(off, n)
-	next := f.NextRecordOffset(off, n)
-	for d := 0; d < ss.cfg.Depth; d++ {
-		if next < 0 || next >= f.Size() {
-			return nil
-		}
-		take := n
-		if next+take > f.Size() {
-			take = f.Size() - next
-		}
-		p.Sleep(ss.cfg.IssueOverhead)
-		if err := f.HintAt(next, take); err != nil {
-			return err
-		}
-		ss.Hints++
-		next = f.NextRecordOffset(next, take)
+	op.hintNext(err)
+}
+
+// hintNext books the user-thread cost of the next hint; the read is over
+// once Depth records are hinted, the prediction runs out, or err is set.
+func (op *hintOp) hintNext(err error) {
+	ss := op.ss
+	if err == nil && op.d < ss.cfg.Depth && op.next >= 0 && op.next < op.f.Size() {
+		ss.k.AfterCall(ss.cfg.IssueOverhead, hintPost, op)
+		return
 	}
-	return nil
+	op.done(op.arg, err)
+}
+
+func hintPost(a any) {
+	op := a.(*hintOp)
+	take := min(op.n, op.f.Size()-op.next)
+	err := op.f.HintAt(op.next, take)
+	if err == nil {
+		op.ss.Hints++
+		op.d++
+		op.next = op.f.NextRecordOffset(op.next, take)
+	}
+	op.hintNext(err)
 }
 
 // OnClose has nothing to free: the state lives in the I/O node caches.

@@ -90,12 +90,6 @@ func (wb *WriteBehind) Flush(p *sim.Proc, f *pfs.File) error {
 	return first
 }
 
-// Pending reports the staged writes not yet known durable for f.
-func (wb *WriteBehind) Pending(f *pfs.File) int {
-	wb.reap(f)
-	return len(wb.inflight[f])
-}
-
 // reap drops completed requests from the front of f's in-flight list.
 func (wb *WriteBehind) reap(f *pfs.File) {
 	l := wb.inflight[f]

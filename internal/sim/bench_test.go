@@ -135,8 +135,7 @@ func BenchmarkProcSwitch(b *testing.B) {
 }
 
 // BenchmarkProcSpawn measures a process's whole life: start, one
-// block/wake, finish. Short-lived processes (one per read of a QoS
-// prefetch-attached tenant) pay this per request.
+// block/wake, finish.
 func BenchmarkProcSpawn(b *testing.B) {
 	k := NewKernel()
 	body := func(p *Proc) { p.Sleep(1) }

@@ -26,12 +26,16 @@ type Proc struct {
 	name string
 	fn   func(p *Proc)
 	co   *coroutine // the coroutine running the process; nil before it starts and after it ends
+
+	parked  bool  // blocked in Park
+	resumed bool  // Resume ran and Park has not yet returned its error
+	parkErr error // the error Resume delivered
 }
 
 // coroutine runs processes one after another. When its process ends it
-// parks in k.idle, and the next start event reuses it: a short-lived
-// process (one per read of a QoS prefetch-attached tenant) costs a switch in and out, not a new
-// coroutine. Every coroutine lives until Kernel.Close.
+// waits in k.idle, and the next start event reuses it: a short-lived
+// process costs a switch in and out, not a new coroutine. Every
+// coroutine lives until Kernel.Close.
 type coroutine struct {
 	next  func() (struct{}, bool) // runs the process until it blocks or ends
 	stop  func()                  // ends the coroutine (Kernel.Close)
@@ -127,12 +131,6 @@ func (k *Kernel) Close() {
 	k.coros, k.idle = nil, nil
 }
 
-// Name returns the process's name.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the kernel the process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.k.now }
 
@@ -142,6 +140,37 @@ func (p *Proc) Now() Time { return p.k.now }
 func (p *Proc) block() {
 	if !p.co.yield(struct{}{}) {
 		panic(errStopped)
+	}
+}
+
+// Park blocks p until Resume delivers the outcome of the callback
+// operation p started, and returns its error. When the operation already
+// completed (Resume ran before Park), Park returns at once without
+// blocking.
+func (p *Proc) Park() error {
+	if !p.resumed {
+		p.parked = true
+		p.block()
+	}
+	err := p.parkErr
+	p.resumed, p.parkErr = false, nil
+	return err
+}
+
+// Resume is the done callback that ends a Park: pass it, with the *Proc
+// as its arg, to a pooled callback operation. If p is parked, Resume
+// runs it in the current event until it blocks again or ends, so the
+// process costs no event of its own; if p has not parked yet, Resume
+// only records err for Park to return.
+func Resume(a any, err error) {
+	p := a.(*Proc)
+	if p.resumed {
+		panic(fmt.Sprintf("sim: process %q resumed twice", p.name))
+	}
+	p.resumed, p.parkErr = true, err
+	if p.parked {
+		p.parked = false
+		p.co.next()
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
-// sigCallback is one registered completion callback (see OnFireCall).
+// sigCallback is one registered completion callback (see OnFireCall and
+// WaitCall).
 type sigCallback struct {
 	cfn func(any, error)
 	arg any
@@ -15,7 +16,7 @@ type Signal struct {
 	fired     bool
 	firedAt   Time
 	err       error
-	waiters   []*Proc
+	waiters   []sigCallback // Wait's wakes and WaitCall's continuations, in arrival order
 	callbacks []sigCallback
 }
 
@@ -47,7 +48,8 @@ func (s *Signal) FiredAt() Time { return s.firedAt }
 func (s *Signal) Err() error { return s.err }
 
 // Fire marks the signal complete with err and wakes all waiters at the
-// current instant. Firing twice panics: a completion happens once.
+// current instant: the waiters first, in arrival order, then the
+// OnFireCall callbacks. Firing twice panics: a completion happens once.
 func (s *Signal) Fire(err error) {
 	if s.fired {
 		panic("sim: Signal fired twice")
@@ -55,9 +57,9 @@ func (s *Signal) Fire(err error) {
 	s.fired = true
 	s.firedAt = s.k.now
 	s.err = err
-	for i, p := range s.waiters {
-		s.k.AfterCall(0, wakeProc, p)
-		s.waiters[i] = nil
+	for i, w := range s.waiters {
+		s.k.AfterCallErr(0, w.cfn, w.arg, err)
+		s.waiters[i] = sigCallback{}
 	}
 	s.waiters = s.waiters[:0]
 	for i, cb := range s.callbacks {
@@ -80,14 +82,24 @@ func (s *Signal) OnFireCall(fn func(any, error), arg any) {
 	s.callbacks = append(s.callbacks, sigCallback{cfn: fn, arg: arg})
 }
 
+// WaitCall is Wait for a callback continuation: fn(arg, err) takes a
+// waiter's place, booked when the signal fires with the processes
+// blocked in Wait, in arrival order and ahead of every OnFireCall
+// callback. On a fired signal it runs fn at once, as Wait returns at
+// once.
+func (s *Signal) WaitCall(fn func(any, error), arg any) {
+	if s.fired {
+		fn(arg, s.err)
+		return
+	}
+	s.waiters = append(s.waiters, sigCallback{cfn: fn, arg: arg})
+}
+
 // Wait blocks p until the signal fires (returning immediately if it
 // already has) and returns the signal's error.
 func (s *Signal) Wait(p *Proc) error {
-	if !s.fired {
-		s.waiters = append(s.waiters, p)
-		p.block()
-	}
-	return s.err
+	s.WaitCall(Resume, p)
+	return p.Park()
 }
 
 // Queue is an unbounded FIFO channel between processes. Put never blocks;

@@ -96,7 +96,8 @@ func Read(m *machine.Machine, file string, recordSize int64, parties int, cfg Co
 					if off+n > start+share {
 						n = start + share - off
 					}
-					if err := f.BlockingIO(p, off, n); err != nil {
+					f.StripeReadCall(off, n, sim.Resume, p)
+					if err := p.Park(); err != nil {
 						return err
 					}
 				}

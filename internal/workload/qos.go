@@ -261,9 +261,8 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 	d := &qosDriver{k: m.K, spec: spec, qr: qr, units: units}
 	for t := 0; t < spec.Tenants; t++ {
 		ten := &qosTenant{d: d, t: t, f: files[t], st: &qr.Tenants[t],
-			count:    qosCount(spec, t),
-			base:     int64(qosRand(spec.Seed, t, 0, qosSaltBase) % uint64(units)),
-			prefetch: pf != nil && t%spec.PrefetchEvery == 0}
+			count: qosCount(spec, t),
+			base:  int64(qosRand(spec.Seed, t, 0, qosSaltBase) % uint64(units))}
 		m.K.AfterCall(0, qosArrivals, ten)
 	}
 	if err := m.Run(); err != nil {
@@ -321,14 +320,13 @@ type qosDriver struct {
 // qosTenant is one tenant's arrival state machine: the k-th arrival is
 // due once gap k has passed since arrival k-1 (or the start).
 type qosTenant struct {
-	d        *qosDriver
-	t        int
-	f        *pfs.File
-	st       *TenantStats
-	count    int   // arrivals in the tenant's schedule
-	base     int64 // first request's index in the file
-	k        int   // next arrival
-	prefetch bool  // the file has the prefetcher, whose reads block a process
+	d     *qosDriver
+	t     int
+	f     *pfs.File
+	st    *TenantStats
+	count int   // arrivals in the tenant's schedule
+	base  int64 // first request's index in the file
+	k     int   // next arrival
 }
 
 // qosReq is one arrival's read, pooled on the driver.
@@ -362,8 +360,7 @@ func (ten *qosTenant) run() {
 }
 
 // arrive makes arrival k and starts its reader with one zero-delay
-// event: a callback read, or on a prefetch-attached file a process,
-// since the prefetcher's ServeRead blocks one.
+// event.
 func (ten *qosTenant) arrive() {
 	d, spec, k := ten.d, &ten.d.spec, ten.k
 	ten.k++
@@ -372,14 +369,6 @@ func (ten *qosTenant) arrive() {
 	d.qr.Arrivals++
 	if spec.Trace != nil {
 		spec.Trace.Add(trace.Event{T: d.k.Now(), Kind: trace.QoSArrival, Node: ten.t, N: spec.RequestSize})
-	}
-	if ten.prefetch {
-		d.k.Go(fmt.Sprintf("qos-rd%d.%d", ten.t, k), func(p *sim.Proc) {
-			start := p.Now()
-			n, err := ten.f.ReadAt(p, off, spec.RequestSize)
-			d.complete(ten, start, n, err)
-		})
-		return
 	}
 	var req *qosReq
 	if n := len(d.free); n > 0 {
@@ -399,20 +388,15 @@ func qosReadStart(a any) {
 	req.ten.f.ReadAtCall(req.off, req.ten.d.spec.RequestSize, qosReadDone, req)
 }
 
-// qosReadDone is a callback read's completion; it frees the request.
+// qosReadDone accounts a finished read to its tenant and frees the
+// request.
 func qosReadDone(a any, n int64, err error) {
 	req := a.(*qosReq)
-	ten, start := req.ten, req.start
-	d := ten.d
+	ten, d := req.ten, req.ten.d
+	st, qr, now := ten.st, d.qr, d.k.Now()
+	lat := now - req.start
 	req.ten = nil
 	d.free = append(d.free, req)
-	d.complete(ten, start, n, err)
-}
-
-// complete accounts one finished read, started at start, to its tenant.
-func (d *qosDriver) complete(ten *qosTenant, start sim.Time, n int64, err error) {
-	st, qr, now := ten.st, d.qr, d.k.Now()
-	lat := now - start
 	switch {
 	case err == nil:
 		st.Done++

@@ -263,7 +263,7 @@ func Run(cfg machine.Config, spec Spec) (*Result, error) {
 		pf = prefetch.New(m.K, pcfg)
 		res.Prefetch = pf
 	case spec.ServerSide != nil:
-		ss = prefetch.NewServerSide(*spec.ServerSide)
+		ss = prefetch.NewServerSide(m.K, *spec.ServerSide)
 		res.ServerSide = ss
 	}
 
