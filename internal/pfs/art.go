@@ -108,11 +108,7 @@ func artPost(x any) {
 	f, req := a.f, a.active[a.head]
 	a.sig = f.fsys.getSig()
 	f.fsys.stripeIOInto(a.sig, f.node, f.tenant, f.meta, req.Off, req.N, req.Write)
-	if a.sig.Fired() {
-		artDone(a, a.sig.Err())
-		return
-	}
-	a.sig.OnFireCall(artDone, a)
+	a.sig.WaitCall(artDone, a)
 }
 
 // artDone completes the head request — a read counts its bytes into

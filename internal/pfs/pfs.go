@@ -458,9 +458,9 @@ func declusterAppend(out []piece, off, n, su int64, g int) []piece {
 	return out
 }
 
-// getSig borrows a signal for a blocking stripe operation. The borrower
-// must hold it until after it fires (a blocked Wait reads the error after
-// the waking event), then return it with putSig.
+// getSig borrows a signal for a stripe operation. The borrower must hold
+// it until after it fires (its waiter reads the error in the event the
+// firing books), then return it with putSig.
 func (fsys *FileSystem) getSig() *sim.Signal {
 	if n := len(fsys.sigFree); n > 0 {
 		s := fsys.sigFree[n-1]

@@ -160,8 +160,9 @@ func (p *Proc) Park() error {
 // Resume is the done callback that ends a Park: pass it, with the *Proc
 // as its arg, to a pooled callback operation. If p is parked, Resume
 // runs it in the current event until it blocks again or ends, so the
-// process costs no event of its own; if p has not parked yet, Resume
-// only records err for Park to return.
+// process costs no event of its own (a parked p must be resumed from an
+// event); if p has not parked yet, Resume only records err for Park to
+// return.
 func Resume(a any, err error) {
 	p := a.(*Proc)
 	if p.resumed {
