@@ -85,6 +85,6 @@ func TestARTPostsOneAtATime(t *testing.T) {
 		}
 	}
 	if f.art.issued != n || f.IOBytes != n*128<<10 {
-		t.Fatalf("AsyncIssued %d, IOBytes %d", f.art.issued, f.IOBytes)
+		t.Fatalf("ART issued %d, IOBytes %d", f.art.issued, f.IOBytes)
 	}
 }

@@ -531,7 +531,7 @@ func TestARTFIFOAndCompletion(t *testing.T) {
 			reqs = append(reqs, a)
 		}
 		if f.art.issued != 4 {
-			t.Errorf("AsyncIssued = %d", f.art.issued)
+			t.Errorf("ART issued %d", f.art.issued)
 		}
 		for _, a := range reqs {
 			if err := a.Done.Wait(p); err != nil {
