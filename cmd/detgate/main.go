@@ -18,8 +18,9 @@
 // at depths 1k and 100k, the disk's callback server, a healthy array's
 // lockstep read, plus the pfs client steady-state read, the pfs
 // asynchronous read through the ART, the pfs callback positioned read
-// (ReadAtCall), the ionode service paths, and the prefetcher's
-// steady-state hit (ServeReadCall) — still report 0 allocs/op.
+// (ReadAtCall), the pfs callback pointer read (ReadCall), the ionode
+// service paths, and the prefetcher's steady-state hit (ServeReadCall) —
+// still report 0 allocs/op.
 package main
 
 import (
@@ -105,7 +106,7 @@ var allocGatePackages = []struct {
 	{"./internal/sim/", "BenchmarkEventThroughput$|BenchmarkProcSwitch$|BenchmarkQueuePushPop/depth=(1k|100k)$"},
 	{"./internal/mesh/", "BenchmarkSend$"},
 	{"./internal/disk/", "BenchmarkDiskServe$|BenchmarkArrayRead$"},
-	{"./internal/pfs/", "BenchmarkClientSteadyRead$|BenchmarkAsyncRead$|BenchmarkReadAtCall$"},
+	{"./internal/pfs/", "BenchmarkClientSteadyRead$|BenchmarkAsyncRead$|BenchmarkReadAtCall$|BenchmarkReadCall$"},
 	{"./internal/ionode/", "BenchmarkServicePath$"},
 	{"./internal/prefetch/", "BenchmarkServeReadCall$"},
 }
@@ -124,6 +125,7 @@ var zeroAllocBenches = map[string]bool{
 	"BenchmarkClientSteadyRead":        true, // pfs client steady-state read path
 	"BenchmarkAsyncRead":               true, // pfs asynchronous read through the ART
 	"BenchmarkReadAtCall":              true, // pfs callback positioned read (open-loop QoS)
+	"BenchmarkReadCall":                true, // pfs callback pointer read (closed-loop driver)
 	"BenchmarkServicePath":             true, // ionode request service path
 	"BenchmarkServeReadCall":           true, // prefetcher steady-state hit and read-ahead
 }

@@ -178,8 +178,83 @@ func BenchmarkReadAtCall(b *testing.B) {
 	run(b.N)
 }
 
+// recordChain keeps one ReadCall in flight on an M_RECORD file: each
+// completion issues the next read until left reads are done, and end of
+// file rewinds the record counter.
+type recordChain struct {
+	f    *File
+	left int
+	err  error
+}
+
+func (c *recordChain) issue() { c.f.ReadCall(64<<10, recordChainDone, c) }
+
+func recordChainDone(a any, _ int64, err error) {
+	c := a.(*recordChain)
+	switch {
+	case err == io.EOF:
+		if err := c.f.SetMode(MRecord); err != nil {
+			c.err = err
+			return
+		}
+	case err != nil:
+		c.err = err
+		return
+	default:
+		c.left--
+	}
+	if c.left > 0 {
+		c.issue()
+	}
+}
+
+// BenchmarkReadCall pins the pointer-advancing callback read — ReadCall's
+// client-call event, the M_RECORD pointer step, the stripe fan-out and
+// the completion accounting — at 0 allocs/op: the closed-loop workload
+// driver's read path. One warm-up pass fills the pools and sample
+// storage. detgate runs this with -benchtime=100x as part of the
+// allocation gate.
+func BenchmarkReadCall(b *testing.B) {
+	r := newRig(b, 1, 4)
+	if err := r.fsys.Create("bench", 1<<20); err != nil {
+		b.Fatal(err)
+	}
+	f, err := r.fsys.Open("bench", 0, MRecord, NewOpenGroup(r.k, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := &recordChain{f: f}
+	run := func(reads int) {
+		c.left = reads
+		c.issue()
+		if err := r.k.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if c.err != nil {
+			b.Fatal(c.err)
+		}
+	}
+	run(512) // warm the pools and sample storage
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}
+
+// scanDone chains a reader's reads until end of file.
+func scanDone(a any, _ int64, err error) {
+	c := a.(*recordChain)
+	if err != nil {
+		if err != io.EOF {
+			c.err = err
+		}
+		return
+	}
+	c.f.ReadCall(64<<10, scanDone, c)
+}
+
 // BenchmarkCollectiveRead measures an end-to-end M_RECORD whole-file scan
-// on a small machine: the cost of simulating one evaluation data point.
+// on a small machine, four readers chaining ReadCall callbacks: the cost
+// of simulating one evaluation data point, machine set-up included.
 func BenchmarkCollectiveRead(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -188,26 +263,22 @@ func BenchmarkCollectiveRead(b *testing.B) {
 			b.Fatal(err)
 		}
 		group := NewOpenGroup(r.k, 4)
-		for n := 0; n < 4; n++ {
-			node := n
-			r.k.Go("reader", func(p *sim.Proc) {
-				f, err := r.fsys.Open("f", node, MRecord, group)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				for {
-					if _, err := f.Read(p, 64<<10); err == io.EOF {
-						return
-					} else if err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
+		chains := make([]recordChain, 4)
+		for n := range chains {
+			f, err := r.fsys.Open("f", n, MRecord, group)
+			if err != nil {
+				b.Fatal(err)
+			}
+			chains[n].f = f
+			r.k.AfterCall(0, func(a any) { scanDone(a, 0, nil) }, &chains[n])
 		}
 		if err := r.k.Run(); err != nil {
 			b.Fatal(err)
+		}
+		for n := range chains {
+			if err := chains[n].err; err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // PrefetchService is the hook the prefetching prototype plugs into. When
-// installed on a File, the data step of every read — Read in each mode
-// and ReadAtCall — is routed through ServeReadCall instead of the plain
-// Fast Path, exactly where the paper modified the PFS client.
+// installed on a File, the data step of every read — ReadCall in each
+// mode and ReadAtCall — is routed through ServeReadCall instead of the
+// plain Fast Path, exactly where the paper modified the PFS client.
 // Implementations live in package prefetch; pfs itself has no
 // prefetching policy.
 type PrefetchService interface {
@@ -45,6 +45,8 @@ type File struct {
 	pf        PrefetchService
 	closed    bool
 	bcastSem  *sim.Semaphore // M_GLOBAL delivery credits for non-root parties
+	reader    *sim.Proc      // the process blocked in Read
+	readGot   int64          // the count Read returns
 
 	// Measurements.
 	ReadCalls      int64
@@ -136,175 +138,221 @@ func (f *File) Close() error {
 	return nil
 }
 
-// lockToken acquires the shared-file pointer token, charging any
-// queueing delay behind another holder to the mount's contention
-// counters. The measurement only reads the clock around the Lock — it
-// schedules no events — so fingerprints of existing scenarios are
-// unchanged.
-func (f *File) lockToken(p *sim.Proc) {
-	fsys := f.fsys
-	t0 := p.Now()
-	f.meta.token.Lock(p)
-	if w := p.Now() - t0; w > 0 {
-		fsys.TokenWaits++
-		fsys.TokenWaitTime += w
-	}
-	fsys.TokenOps++
-}
-
 // Read performs one blocking read of n bytes under the file's I/O mode,
 // advancing the appropriate file pointer(s). It returns the bytes read;
 // at end of file it returns 0, io.EOF. Collective modes require all
 // parties of the open group to call Read for the operation to complete.
+// It is ReadCall for a process: it parks p until the read returns.
 func (f *File) Read(p *sim.Proc, n int64) (int64, error) {
+	f.reader = p
+	f.ReadCall(n, readResume, f)
+	err := p.Park()
+	return f.readGot, err
+}
+
+// readResume hands the read's count to Read and resumes the reader.
+func readResume(a any, n int64, err error) {
+	f := a.(*File)
+	f.readGot = n
+	sim.Resume(f.reader, err)
+}
+
+// ReadCall performs one read of n bytes under the file's I/O mode,
+// advancing the appropriate file pointer(s), and calls done(arg, got,
+// err) when it returns; at end of file got is 0 and err io.EOF. A
+// closed file or a non-positive n calls done before returning.
+//
+// Each step is a pooled callback: the client call's cost; the mode's
+// pointer step (M_UNIX and M_LOG claim a region under the shared-pointer
+// token, M_RECORD derives its record from the operation count, M_SYNC
+// and M_GLOBAL run a collective round); then the data step, through the
+// prefetch service when one is installed. The read-start and read-end
+// events carry the individual file pointer.
+func (f *File) ReadCall(n int64, done func(any, int64, error), arg any) {
 	if f.closed {
-		return 0, ErrClosed
+		done(arg, 0, ErrClosed)
+		return
 	}
 	if n <= 0 {
-		return 0, fmt.Errorf("pfs: read size %d must be positive", n)
+		done(arg, 0, fmt.Errorf("pfs: read size %d must be positive", n))
+		return
 	}
-	start := p.Now()
-	f.fsys.emit(trace.ReadStart, f.node, f.meta.name, f.offset, n)
-	defer func() { f.fsys.emit(trace.ReadEnd, f.node, f.meta.name, f.offset, n) }()
-	p.Sleep(f.fsys.cfg.ClientCall)
+	f.startRead(f.offset, n, done, arg, readPointer).ptr = true
+}
 
-	var off int64
-	var err error
+// startRead takes a pooled op for a read of n bytes at off that reports
+// to done, emits its read-start event, and books issue once the client
+// call's cost has elapsed.
+func (f *File) startRead(off, n int64, done func(any, int64, error), arg any, issue func(any)) *readOp {
+	fsys := f.fsys
+	op := fsys.getReadOp()
+	op.f, op.off, op.n, op.endN = f, off, n, n
+	op.start, op.doneAt, op.arg = fsys.k.Now(), done, arg
+	fsys.emit(trace.ReadStart, f.node, f.meta.name, off, n)
+	fsys.k.AfterCall(fsys.cfg.ClientCall, issue, op)
+	return op
+}
+
+// readPointer is the mode's pointer step.
+func readPointer(a any) {
+	op := a.(*readOp)
+	f := op.f
 	switch f.mode {
 	case MAsync:
-		off = f.offset
-		n = clamp(off, n, f.meta.size)
-		if n == 0 {
-			return 0, io.EOF
-		}
-		f.offset += n
-		err = f.performRead(p, off, n)
+		op.off = f.offset
+		op.n = clamp(op.off, op.n, f.meta.size)
+		op.endN = op.n
+		f.offset += op.n
+		readIssue(op)
 
-	case MUnix:
-		// Token held across the entire I/O: full serialization.
-		f.lockToken(p)
-		p.Sleep(f.fsys.cfg.TokenClaim)
-		off = f.meta.sharedOff
-		n = clamp(off, n, f.meta.size)
-		if n == 0 {
-			f.meta.token.Unlock()
-			return 0, io.EOF
-		}
-		f.meta.sharedOff += n
-		err = f.performRead(p, off, n)
-		f.meta.token.Unlock()
-
-	case MLog:
-		// Token held only while claiming the region; I/O overlaps.
-		f.lockToken(p)
-		p.Sleep(f.fsys.cfg.TokenClaim)
-		off = f.meta.sharedOff
-		n = clamp(off, n, f.meta.size)
-		f.meta.sharedOff += n
-		f.meta.token.Unlock()
-		if n == 0 {
-			return 0, io.EOF
-		}
-		err = f.performRead(p, off, n)
+	case MUnix, MLog:
+		op.lockAt = f.fsys.k.Now()
+		f.meta.token.LockCall(tokenLocked, op)
 
 	case MRecord:
-		return f.recordRead(p, n, start)
+		// Fixed-size records in node order: the offset follows from the
+		// operation count and rank alone — no token and no inter-node
+		// synchronization, which is why the mode is fast and why the
+		// paper targets it. The first operation fixes the record size.
+		if f.meta.recordSize == 0 {
+			f.meta.recordSize = op.n
+		} else if f.meta.recordSize != op.n {
+			op.end(ErrBadSize)
+			return
+		}
+		off := (f.rounds*int64(f.Parties()) + int64(f.rank)) * op.n
+		if off >= f.meta.size {
+			op.end(io.EOF)
+			return
+		}
+		f.rounds++
+		op.off, op.n = off, clamp(off, op.n, f.meta.size)
+		// The pointer bookkeeping the OS does around a record operation.
+		f.fsys.k.AfterCall(f.fsys.cfg.CollectSync, readIssue, op)
 
 	case MSync, MGlobal:
-		return f.collectiveRead(p, n, start)
+		// Every party sees the same shared pointer at round start, so all
+		// hit EOF in the same round and no one waits on the barrier.
+		if f.meta.sharedOff >= f.meta.size {
+			op.end(io.EOF)
+			return
+		}
+		f.group.round(f.rank, op.n, roundDone, op)
 
 	default:
-		return 0, fmt.Errorf("pfs: invalid mode %d", int(f.mode))
+		op.end(fmt.Errorf("pfs: invalid mode %d", int(f.mode)))
 	}
-	if err != nil {
-		return 0, err
-	}
-	return f.readDone(n, start), nil
 }
 
-// recordRead implements M_RECORD. The file is a sequence of fixed-size
-// records in node order, so a node's offset follows from its own
-// operation count and rank alone — no token and no inter-node
-// synchronization per operation, which is why the mode is fast and why
-// the paper targets it. All parties must use the same record size; the
-// first operation on the file fixes it.
-func (f *File) recordRead(p *sim.Proc, n int64, start sim.Time) (int64, error) {
-	if f.meta.recordSize == 0 {
-		f.meta.recordSize = n
-	} else if f.meta.recordSize != n {
-		return 0, ErrBadSize
+// tokenLocked runs once the read holds the shared-pointer token: it
+// charges any queueing behind another holder to the mount's contention
+// counters (which only read the clock), then pays the token claim.
+func tokenLocked(a any, _ error) {
+	op := a.(*readOp)
+	fsys := op.f.fsys
+	if w := fsys.k.Now() - op.lockAt; w > 0 {
+		fsys.TokenWaits++
+		fsys.TokenWaitTime += w
 	}
-	off := (f.rounds*int64(f.Parties()) + int64(f.rank)) * n
-	if off >= f.meta.size {
-		return 0, io.EOF
-	}
-	f.rounds++
-	n = clamp(off, n, f.meta.size)
-	// The pointer bookkeeping the OS does around a record operation.
-	p.Sleep(f.fsys.cfg.CollectSync)
-	if err := f.performRead(p, off, n); err != nil {
-		return 0, err
-	}
-	return f.readDone(n, start), nil
+	fsys.TokenOps++
+	fsys.k.AfterCall(fsys.cfg.TokenClaim, tokenClaimed, op)
 }
 
-// collectiveRead implements the M_SYNC / M_GLOBAL paths.
-func (f *File) collectiveRead(p *sim.Proc, n int64, start sim.Time) (int64, error) {
-	// All parties hit EOF in the same round: the shared pointer at round
-	// start is identical on every node, so no one blocks on the barrier.
-	if f.meta.sharedOff >= f.meta.size {
-		return 0, io.EOF
+// tokenClaimed claims the read's region at the shared pointer. M_UNIX
+// holds the token across the entire I/O (full serialization); M_LOG
+// holds it only across the claim, so the I/O overlaps.
+func tokenClaimed(a any) {
+	op := a.(*readOp)
+	f, meta := op.f, op.f.meta
+	op.off = meta.sharedOff
+	op.n = clamp(op.off, op.n, meta.size)
+	op.endN = op.n
+	meta.sharedOff += op.n
+	if f.mode == MUnix && op.n > 0 {
+		f.readCall(op.off, op.n, unixRead, op)
+		return
 	}
-	off, uniform := f.group.round(p, f.meta, f.rank, n, f.mode == MGlobal)
+	meta.token.Unlock()
+	readIssue(op)
+}
+
+// unixRead ends an M_UNIX read's data step: the token goes first.
+func unixRead(a any, err error) {
+	a.(*readOp).f.meta.token.Unlock()
+	readData(a, err)
+}
+
+// roundDone runs once every party has joined the collective round: it
+// takes the read's region, pays the collective synchronization, and for
+// M_SYNC the rank stagger.
+func roundDone(a any, _ error) {
+	op := a.(*readOp)
+	f := op.f
+	off, uniform := f.group.claim(f.meta, f.rank, f.mode == MGlobal)
 	if f.mode == MGlobal && !uniform {
-		return 0, ErrBadSize
+		op.end(ErrBadSize)
+		return
 	}
 	f.lastTotal = f.group.total
-	n = clamp(off, n, f.meta.size)
-	p.Sleep(f.fsys.cfg.CollectSync)
-	if f.mode == MSync {
-		// Requests are processed in node order: later ranks' claims
-		// stagger behind earlier ones.
-		p.Sleep(sim.Time(f.rank) * f.fsys.cfg.SyncStagger)
-	}
-	if n == 0 {
-		// A partial final round can leave high ranks past EOF; they
-		// participated in the round but transfer nothing.
-		return 0, io.EOF
-	}
-
-	var err error
-	if f.mode == MGlobal {
-		err = f.globalRead(p, off, n)
-	} else {
-		err = f.performRead(p, off, n)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return f.readDone(n, start), nil
+	op.off, op.n = off, clamp(off, op.n, f.meta.size)
+	f.fsys.k.AfterCall(f.fsys.cfg.CollectSync, collectSynced, op)
 }
 
-// globalRead has rank 0 perform the I/O and broadcast the data to the
-// other parties along a binomial tree: every party that holds the data
-// forwards it, so the broadcast finishes in ⌈log2 P⌉ message steps
-// instead of serializing P-1 sends through the root's injection port.
-// Each delivery posts a credit on the receiver's semaphore, so arrival
-// order and wait order cannot race.
-func (f *File) globalRead(p *sim.Proc, off, n int64) error {
-	if f.rank == 0 {
-		// Routed through performRead so a prefetcher on the root
-		// instance can serve (and read ahead for) the broadcast source.
-		if err := f.performRead(p, off, n); err != nil {
-			return err
-		}
-		f.forward(n)
-		return nil
+// collectSynced staggers an M_SYNC read behind the lower ranks': requests
+// are processed in node order. Rank 0's stagger is zero and still an
+// event.
+func collectSynced(a any) {
+	op := a.(*readOp)
+	f := op.f
+	if f.mode == MSync {
+		f.fsys.k.AfterCall(sim.Time(f.rank)*f.fsys.cfg.SyncStagger, readIssue, op)
+		return
 	}
-	f.bcast().Acquire(p, 1)
-	// The broadcast payload is this rank's copy of [off, off+n).
-	f.RecordDelivery(off, n)
-	return nil
+	readIssue(op)
+}
+
+// readIssue is a pointer read's data step. An M_GLOBAL read has rank 0
+// perform the I/O and broadcast the data to the other parties along a
+// binomial tree: every party that holds the data forwards it, so the
+// broadcast finishes in ⌈log2 P⌉ message steps instead of serializing
+// P-1 sends through the root's injection port. Each delivery posts a
+// credit on the receiver's semaphore, so arrival order and wait order
+// cannot race.
+func readIssue(a any) {
+	op := a.(*readOp)
+	f := op.f
+	switch {
+	case op.n == 0:
+		// At end of file. A partial final collective round can leave high
+		// ranks here: they joined the round but transfer nothing.
+		op.end(io.EOF)
+	case f.mode != MGlobal:
+		f.readCall(op.off, op.n, readData, op)
+	case f.rank == 0:
+		// Through readCall, so a prefetcher on the root instance can
+		// serve (and read ahead for) the broadcast source.
+		f.readCall(op.off, op.n, bcastRoot, op)
+	default:
+		f.bcast().AcquireCall(1, bcastRecv, op)
+	}
+}
+
+// bcastRoot forwards the root's data down the broadcast tree once its
+// read succeeded.
+func bcastRoot(a any, err error) {
+	if err == nil {
+		op := a.(*readOp)
+		op.f.forward(op.n)
+	}
+	readData(a, err)
+}
+
+// bcastRecv runs when the broadcast payload, this rank's copy of the
+// region, has arrived.
+func bcastRecv(a any, _ error) {
+	op := a.(*readOp)
+	op.f.RecordDelivery(op.off, op.n)
+	readData(op, nil)
 }
 
 // forward ships the broadcast payload to this rank's binomial-tree
@@ -336,15 +384,6 @@ func (f *File) bcast() *sim.Semaphore {
 	return f.bcastSem
 }
 
-// readDone accounts a completed read of n bytes that began at start,
-// and returns n.
-func (f *File) readDone(n int64, start sim.Time) int64 {
-	f.ReadCalls++
-	f.BytesRead += n
-	f.ReadTime.ObserveTime(f.fsys.k.Now() - start)
-	return n
-}
-
 // readCall is the data step of every read of [off, off+n): through the
 // prefetch service when one is installed, else a direct stripe read.
 func (f *File) readCall(off, n int64, done func(any, error), arg any) {
@@ -355,22 +394,17 @@ func (f *File) readCall(off, n int64, done func(any, error), arg any) {
 	f.StripeReadCall(off, n, done, arg)
 }
 
-// performRead is readCall for a process: it parks p until the read is
-// done, and done resumes p inside the event that completes it. A read
-// that completes before returning leaves p running.
-func (f *File) performRead(p *sim.Proc, off, n int64) error {
-	f.readCall(off, n, sim.Resume, p)
-	return p.Park()
-}
-
-// readOp is the pooled state of one stripe read or one ReadAtCall.
+// readOp is the pooled state of one stripe read, ReadAtCall or ReadCall.
 type readOp struct {
 	f      *File
-	off, n int64
+	off, n int64       // the data step's range
 	sig    *sim.Signal // the stripe read's completion
-	start  sim.Time    // when the ReadAtCall was made
+	start  sim.Time    // when the ReadAtCall or ReadCall was made
+	lockAt sim.Time    // when the read asked for the shared-pointer token
+	endN   int64       // the size the read-end event carries
+	ptr    bool        // a ReadCall: the trace events carry the file pointer
 	done   func(any, error)
-	doneAt func(any, int64, error) // the ReadAtCall's caller
+	doneAt func(any, int64, error) // the ReadAtCall's or ReadCall's caller
 	arg    any
 }
 
@@ -439,29 +473,40 @@ func (f *File) ReadAtCall(off, n int64, done func(any, int64, error), arg any) {
 		done(arg, 0, fmt.Errorf("pfs: read [%d,+%d) outside %s (%d bytes)", off, n, f.meta.name, f.meta.size))
 		return
 	}
-	fsys := f.fsys
-	op := fsys.getReadOp()
-	op.f, op.off, op.n, op.start, op.doneAt, op.arg = f, off, n, fsys.k.Now(), done, arg
-	fsys.emit(trace.ReadStart, f.node, f.meta.name, off, n)
-	fsys.k.AfterCall(fsys.cfg.ClientCall, readAtIssue, op)
+	f.startRead(off, n, done, arg, readAtIssue)
 }
 
 // readAtIssue runs when the client call's cost has elapsed.
 func readAtIssue(a any) {
 	op := a.(*readOp)
-	op.f.readCall(op.off, op.n, readAtDone, op)
+	op.f.readCall(op.off, op.n, readData, op)
 }
 
-// readAtDone is the tail of the read: the counters on success, then the
-// read-end event on either path, then the caller's done.
-func readAtDone(a any, err error) {
+// readData ends a read's data step: the counters on success, then the
+// read's end.
+func readData(a any, err error) {
 	op := a.(*readOp)
-	f, off, n, done, arg := op.f, op.off, op.n, op.doneAt, op.arg
-	got := int64(0)
-	if err == nil {
-		got = f.readDone(n, op.start)
+	if f := op.f; err == nil {
+		f.ReadCalls++
+		f.BytesRead += op.n
+		f.ReadTime.ObserveTime(f.fsys.k.Now() - op.start)
 	}
-	f.fsys.emit(trace.ReadEnd, f.node, f.meta.name, off, n)
+	op.end(err)
+}
+
+// end is the tail of a ReadAtCall or ReadCall: the read-end event on
+// every path, then the caller's done with the bytes read (none on an
+// error).
+func (op *readOp) end(err error) {
+	f, done, arg := op.f, op.doneAt, op.arg
+	off, got := op.off, op.n
+	if op.ptr {
+		off = f.offset
+	}
+	if err != nil {
+		got = 0
+	}
+	f.fsys.emit(trace.ReadEnd, f.node, f.meta.name, off, op.endN)
 	f.fsys.putReadOp(op)
 	done(arg, got, err)
 }

@@ -14,13 +14,12 @@ import (
 // offsets come out as the rank prefix-sum over the shared pointer (or the
 // shared pointer itself for M_GLOBAL).
 type OpenGroup struct {
-	k       *sim.Kernel
 	parties int
 	barrier *sim.Barrier
 	nextRnk int
 	members []*File
 
-	// Round state. The simulator runs one process at a time, so plain
+	// Round state. The simulator runs one event at a time, so plain
 	// fields suffice.
 	sizes    []int64
 	computed bool
@@ -37,7 +36,6 @@ func NewOpenGroup(k *sim.Kernel, parties int) *OpenGroup {
 		panic("pfs: open group needs at least one party")
 	}
 	return &OpenGroup{
-		k:       k,
 		parties: parties,
 		barrier: sim.NewBarrier(k, parties),
 		sizes:   make([]int64, parties),
@@ -56,15 +54,22 @@ func (g *OpenGroup) join(f *File) int {
 	return r
 }
 
-// round runs one collective round for the calling party: register size,
-// synchronize, and collect the assigned offset. For M_GLOBAL every party
-// receives the same offset and the shared pointer advances by one request;
-// otherwise offsets are the rank prefix-sum and the pointer advances by
-// the round total. uniform reports whether all parties presented equal
-// sizes (a requirement the caller enforces for M_RECORD and M_GLOBAL).
-func (g *OpenGroup) round(p *sim.Proc, meta *fileMeta, rank int, size int64, global bool) (off int64, uniform bool) {
+// round joins the calling party to the next collective round: it
+// registers the party's request size and waits on the barrier, and
+// done(arg, nil) runs once every party has arrived. done then takes the
+// party's offset with claim.
+func (g *OpenGroup) round(rank int, size int64, done func(any, error), arg any) {
 	g.sizes[rank] = size
-	g.barrier.Wait(p)
+	g.barrier.WaitCall(done, arg)
+}
+
+// claim collects the calling party's offset in the round its barrier
+// just released. For M_GLOBAL every party receives the same offset and
+// the shared pointer advances by one request; otherwise offsets are the
+// rank prefix-sum and the pointer advances by the round total. uniform
+// reports whether all parties presented equal sizes (a requirement the
+// caller enforces for M_RECORD and M_GLOBAL).
+func (g *OpenGroup) claim(meta *fileMeta, rank int, global bool) (off int64, uniform bool) {
 	if !g.computed {
 		g.base = meta.sharedOff
 		g.total = 0

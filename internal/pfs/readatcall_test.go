@@ -85,8 +85,8 @@ func seededReads(seed int64, files []*File, count int, span sim.Time) []readAtRe
 }
 
 // refReadAt is the process form of ReadAtCall, kept as its reference
-// (it was File.ReadAt): it sleeps through the client call and parks in
-// performRead.
+// (it was File.ReadAt): it sleeps through the client call and parks on
+// the data step.
 func refReadAt(p *sim.Proc, f *File, off, n int64) (int64, error) {
 	if f.closed {
 		return 0, ErrClosed
@@ -98,7 +98,8 @@ func refReadAt(p *sim.Proc, f *File, off, n int64) (int64, error) {
 	f.fsys.emit(trace.ReadStart, f.node, f.meta.name, off, n)
 	defer func() { f.fsys.emit(trace.ReadEnd, f.node, f.meta.name, off, n) }()
 	p.Sleep(f.fsys.cfg.ClientCall)
-	if err := f.performRead(p, off, n); err != nil {
+	f.readCall(off, n, sim.Resume, p)
+	if err := p.Park(); err != nil {
 		return 0, err
 	}
 	f.ReadCalls++

@@ -80,6 +80,10 @@ func FuzzKernelOrdering(f *testing.F) {
 	f.Add([]byte{7, 7, 7, 7})
 	f.Add([]byte{0x3f, 0x10, 0x20, 0xff, 0})
 	f.Add([]byte{13, 0x31, 0x31, 0x31, 200, 100, 50})
+	// Lane-heavy: every byte is a multiple of 13, so nearly every event
+	// (children included) lands at the instant that booked it.
+	f.Add([]byte{0x34, 0x34, 0x00, 0x0d, 0x34, 0x1a, 0x27, 0x75})
+	f.Add([]byte{0x34, 0x34, 0x34, 0x34, 0x34, 0x34, 0x34, 0x34, 0x34, 0x34, 0x34, 0x34})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 48 {

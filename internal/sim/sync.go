@@ -168,11 +168,12 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 	return q.pop(), true
 }
 
-// semWaiter is a pending Acquire.
+// semWaiter is a pending AcquireCall: the units it asks for and the
+// continuation a Release books once they are granted.
 type semWaiter struct {
-	p       *Proc
-	n       int64
-	granted bool
+	n   int64
+	cfn func(any, error)
+	arg any
 }
 
 // Semaphore is a counting semaphore with FIFO granting: a large request at
@@ -180,7 +181,7 @@ type semWaiter struct {
 type Semaphore struct {
 	k       *Kernel
 	avail   int64
-	waiters []*semWaiter
+	waiters []semWaiter
 	whead   int
 }
 
@@ -192,24 +193,30 @@ func NewSemaphore(k *Kernel, n int64) *Semaphore {
 	return &Semaphore{k: k, avail: n}
 }
 
-// Acquire blocks p until n units are available, then takes them.
-func (s *Semaphore) Acquire(p *Proc, n int64) {
+// AcquireCall takes n units and then runs fn(arg, nil). When the units
+// are free and nobody waits ahead, it takes them and runs fn at once,
+// booking nothing; otherwise fn joins the FIFO line, and the Release
+// that grants its units books it as a zero-delay event.
+func (s *Semaphore) AcquireCall(n int64, fn func(any, error), arg any) {
 	if n < 0 {
 		panic("sim: negative semaphore acquire")
 	}
 	if s.whead == len(s.waiters) && s.avail >= n {
 		s.avail -= n
+		fn(arg, nil)
 		return
 	}
-	w := &semWaiter{p: p, n: n}
-	s.waiters = append(s.waiters, w)
-	for !w.granted {
-		p.block()
-	}
+	s.waiters = append(s.waiters, semWaiter{n: n, cfn: fn, arg: arg})
+}
+
+// Acquire blocks p until n units are available, then takes them.
+func (s *Semaphore) Acquire(p *Proc, n int64) {
+	s.AcquireCall(n, Resume, p)
+	p.Park()
 }
 
 // Release returns n units and grants as many head-of-line waiters as now
-// fit.
+// fit, booking each one's continuation at the current instant.
 func (s *Semaphore) Release(n int64) {
 	if n < 0 {
 		panic("sim: negative semaphore release")
@@ -217,15 +224,14 @@ func (s *Semaphore) Release(n int64) {
 	s.avail += n
 	for s.whead < len(s.waiters) && s.avail >= s.waiters[s.whead].n {
 		w := s.waiters[s.whead]
-		s.waiters[s.whead] = nil
+		s.waiters[s.whead] = semWaiter{}
 		s.whead++
 		if s.whead == len(s.waiters) {
 			s.waiters = s.waiters[:0]
 			s.whead = 0
 		}
 		s.avail -= w.n
-		w.granted = true
-		s.k.AfterCall(0, wakeProc, w.p)
+		s.k.AfterCallErr(0, w.cfn, w.arg, nil)
 	}
 }
 
@@ -235,20 +241,27 @@ type Mutex struct{ s *Semaphore }
 // NewMutex returns an unlocked mutex.
 func NewMutex(k *Kernel) *Mutex { return &Mutex{s: NewSemaphore(k, 1)} }
 
+// LockCall takes the mutex and then runs fn(arg, nil): at once when it
+// is free, else as the event the Unlock that hands it over books.
+func (m *Mutex) LockCall(fn func(any, error), arg any) { m.s.AcquireCall(1, fn, arg) }
+
 // Lock blocks p until the mutex is held.
-func (m *Mutex) Lock(p *Proc) { m.s.Acquire(p, 1) }
+func (m *Mutex) Lock(p *Proc) {
+	m.LockCall(Resume, p)
+	p.Park()
+}
 
 // Unlock releases the mutex.
 func (m *Mutex) Unlock() { m.s.Release(1) }
 
-// Barrier synchronizes a fixed party of n processes: each Wait blocks
-// until all n have arrived, then all are released and the barrier resets
-// for the next round.
+// Barrier synchronizes a fixed party of n arrivals: each waits until all
+// n have arrived, then all are released and the barrier resets for the
+// next round.
 type Barrier struct {
 	k       *Kernel
 	n       int
 	arrived int
-	waiters []*Proc
+	waiters []sigCallback
 }
 
 // NewBarrier returns a barrier for n parties.
@@ -259,18 +272,27 @@ func NewBarrier(k *Kernel, n int) *Barrier {
 	return &Barrier{k: k, n: n}
 }
 
-// Wait blocks p until all parties of the current round have arrived.
-func (b *Barrier) Wait(p *Proc) {
+// WaitCall arrives at the barrier and runs fn(arg, nil) once the current
+// round is complete. The last arrival books the earlier arrivals'
+// continuations as zero-delay events, in arrival order, and then runs
+// its own fn at once, in the event it arrived in.
+func (b *Barrier) WaitCall(fn func(any, error), arg any) {
 	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		for i, w := range b.waiters {
-			b.k.AfterCall(0, wakeProc, w)
-			b.waiters[i] = nil
-		}
-		b.waiters = b.waiters[:0]
+	if b.arrived < b.n {
+		b.waiters = append(b.waiters, sigCallback{cfn: fn, arg: arg})
 		return
 	}
-	b.waiters = append(b.waiters, p)
-	p.block()
+	b.arrived = 0
+	for i, w := range b.waiters {
+		b.k.AfterCallErr(0, w.cfn, w.arg, nil)
+		b.waiters[i] = sigCallback{}
+	}
+	b.waiters = b.waiters[:0]
+	fn(arg, nil)
+}
+
+// Wait blocks p until all parties of the current round have arrived.
+func (b *Barrier) Wait(p *Proc) {
+	b.WaitCall(Resume, p)
+	p.Park()
 }

@@ -1,6 +1,7 @@
 package twophase
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -105,5 +106,23 @@ func TestDeterministic(t *testing.T) {
 	}
 	if a, b := once(), once(); a != b {
 		t.Fatalf("non-deterministic: %v vs %v", a, b)
+	}
+}
+
+// TestCloseEndsProcesses: the two-phase read runs one process per node,
+// and closing the machine ends their coroutines, so no goroutine
+// outlives it.
+func TestCloseEndsProcesses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := build(t, 8<<20)
+	if _, err := Read(m, "f", 16<<10, 4, DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if m.K.Stats().Started == 0 {
+		t.Fatal("the read started no process, so it proves nothing")
+	}
+	m.Close()
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("%d goroutines after the read, %d before", g, before)
 	}
 }

@@ -208,22 +208,13 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 	cfg.Fair.Tenants = spec.Tenants
 	m := machine.Build(cfg)
 	defer m.Close()
-	res := &Result{Machine: m, NodeTimes: make([]sim.Time, cfg.ComputeNodes)}
+	res := newResult(m, cfg.ComputeNodes, spec.Trace)
 	qr := &QoSResult{Tenants: make([]TenantStats, spec.Tenants), SLO: spec.SLO}
 	res.QoS = qr
 
-	if spec.Trace != nil {
-		m.SetTrace(spec.Trace)
-		m.FS.SetTrace(spec.Trace)
-	}
-
 	var pf *prefetch.Prefetcher
 	if spec.Prefetch != nil && spec.PrefetchEvery > 0 {
-		pcfg := *spec.Prefetch
-		if spec.Trace != nil && pcfg.Trace == nil {
-			pcfg.Trace = spec.Trace
-		}
-		pf = prefetch.New(m.K, pcfg)
+		pf = newPrefetcher(m, *spec.Prefetch, spec.Trace)
 		res.Prefetch = pf
 	}
 
@@ -271,7 +262,6 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 	res.Engine = m.K.Stats()
 
 	res.DeliveryDigests = make([]uint64, spec.Tenants)
-	res.NodeUnavailableBytes = make([]int64, cfg.ComputeNodes)
 	for t, f := range files {
 		st := &qr.Tenants[t]
 		st.IOBytes = f.IOBytes
@@ -285,11 +275,7 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 			st.SrvDropped += s.TenantDropped[t]
 			st.SrvBytes += s.TenantBytes[t]
 		}
-		res.TotalBytes += f.BytesRead
-		res.ReadCalls += f.ReadCalls
-		res.IOBytes += f.IOBytes
-		res.DeliveryDigests[t] = f.DeliveryDigest()
-		f.ReadTime.Each(res.ReadTime.Observe)
+		res.addFile(t, f)
 		if err := f.Close(); err != nil && openErr == nil {
 			openErr = err
 		}
@@ -298,11 +284,7 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 		return nil, openErr
 	}
 	res.Elapsed = d.elapsed
-	res.Bandwidth = stats.MBps(res.TotalBytes, res.Elapsed)
-	res.TokenOps = m.FS.TokenOps
-	res.TokenWaits = m.FS.TokenWaits
-	res.TokenWaitTime = m.FS.TokenWaitTime
-	collectFaults(res, m)
+	res.finish(m)
 	return res, nil
 }
 

@@ -6,9 +6,13 @@
 package workload
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
+	"strconv"
+	"strings"
 
 	"repro/internal/machine"
 	"repro/internal/pfs"
@@ -185,29 +189,25 @@ func collectFaults(res *Result, m *machine.Machine) {
 	res.Fault.DegradedReads = fs.DegradedReads
 	res.Fault.LateReplies = fs.LateReplies
 	res.Fault.LateBytes = fs.LateBytes
+	res.Fault.DownWaits = fs.DownWaits
+	res.Fault.Unavailable = fs.Unavailable
+	res.Fault.AbandonedBytes = fs.AbandonedBytes
+	res.Fault.MeshDropped = m.Mesh.Dropped
+	if res.Prefetch != nil {
+		res.Fault.Retired = res.Prefetch.Retired
+	}
 	for _, s := range m.Servers {
 		res.Fault.Shed += s.Shed
 		res.Fault.ServerFaults += s.Faults
+		res.Fault.NodeCrashes += s.Crashes
+		res.Fault.NodeRestarts += s.Restarts
+		res.Fault.NodeDropped += s.Dropped
 	}
 	for _, a := range m.Arrays {
 		for _, d := range a.Members() {
 			res.Fault.DiskTransient += d.TransientErrors
 			res.Fault.DiskPermanent += d.PermanentErrors
 		}
-	}
-	if res.Prefetch != nil {
-		res.Fault.Retired = res.Prefetch.Retired
-	}
-	res.Fault.DownWaits = fs.DownWaits
-	res.Fault.Unavailable = fs.Unavailable
-	res.Fault.AbandonedBytes = fs.AbandonedBytes
-	for _, s := range m.Servers {
-		res.Fault.NodeCrashes += s.Crashes
-		res.Fault.NodeRestarts += s.Restarts
-		res.Fault.NodeDropped += s.Dropped
-	}
-	res.Fault.MeshDropped = m.Mesh.Dropped
-	for _, a := range m.Arrays {
 		res.Fault.MemberFails += a.MemberFails
 		res.Fault.ArrayDegraded += a.DegradedReads
 		res.Fault.RebuildIOs += a.RebuildIOs
@@ -216,39 +216,33 @@ func collectFaults(res *Result, m *machine.Machine) {
 }
 
 // Run builds a machine from cfg, lays out the file(s), and drives one
-// reader process per compute node until every node has consumed its share
-// of the data.
+// closed-loop reader per compute node until every node has consumed its
+// share of the data. The readers are callback state machines (see
+// reader): the run starts no process.
 func Run(cfg machine.Config, spec Spec) (*Result, error) {
 	if err := validate(cfg, &spec); err != nil {
 		return nil, err
+	}
+	if spec.Prefetch != nil && spec.ServerSide != nil {
+		return nil, fmt.Errorf("workload: Prefetch and ServerSide are mutually exclusive")
 	}
 	if spec.Buffered {
 		cfg.PFS.FastPath = false
 	}
 	m := machine.Build(cfg)
 	defer m.Close()
-	res := &Result{Spec: spec, Machine: m, NodeTimes: make([]sim.Time, cfg.ComputeNodes)}
+	res := newResult(m, cfg.ComputeNodes, spec.Trace)
+	res.Spec = spec
 
-	group := stripeGroup(cfg, spec)
-	su := spec.StripeUnit
-	if su == 0 {
-		su = cfg.PFS.StripeUnit
+	group := make([]int, cmp.Or(spec.StripeGroup, cfg.IONodes))
+	for i := range group {
+		group[i] = i
 	}
+	su := cmp.Or(spec.StripeUnit, cfg.PFS.StripeUnit)
 
-	if spec.Trace != nil {
-		m.SetTrace(spec.Trace)
-		m.FS.SetTrace(spec.Trace)
-	}
-	var pf *prefetch.Prefetcher
-	var ss *prefetch.ServerSide
 	switch {
-	case spec.Prefetch != nil && spec.ServerSide != nil:
-		return nil, fmt.Errorf("workload: Prefetch and ServerSide are mutually exclusive")
 	case spec.Prefetch != nil:
 		pcfg := *spec.Prefetch
-		if spec.Trace != nil && pcfg.Trace == nil {
-			pcfg.Trace = spec.Trace
-		}
 		// Machine-level defaults fill only what the spec left open: the
 		// policy when neither a Predictor nor a Policy is set, and the
 		// controller when the spec's is disarmed. The struct conversion
@@ -260,11 +254,9 @@ func Run(cfg machine.Config, spec Spec) (*Result, error) {
 		if !pcfg.Controller.Enabled() {
 			pcfg.Controller = prefetch.ControllerConfig(cfg.Prefetch.Controller)
 		}
-		pf = prefetch.New(m.K, pcfg)
-		res.Prefetch = pf
+		res.Prefetch = newPrefetcher(m, pcfg, spec.Trace)
 	case spec.ServerSide != nil:
-		ss = prefetch.NewServerSide(m.K, *spec.ServerSide)
-		res.ServerSide = ss
+		res.ServerSide = prefetch.NewServerSide(m.K, *spec.ServerSide)
 	}
 
 	nodes := cfg.ComputeNodes
@@ -299,89 +291,90 @@ func Run(cfg machine.Config, spec Spec) (*Result, error) {
 		og = pfs.NewOpenGroup(m.K, nodes)
 	}
 
-	files := make([]*pfs.File, nodes) // indexed by node rank
-	errs := make([]error, nodes)
-	unav := make([]unavailTally, nodes)
-	for i := 0; i < nodes; i++ {
-		i := i
-		m.K.Go(fmt.Sprintf("app%d", i), func(p *sim.Proc) {
-			name := spec.File
-			mode := spec.Mode
-			if spec.SeparateFiles {
-				name = fmt.Sprintf("%s.%d", spec.File, i)
-				mode = pfs.MAsync
-			}
-			f, err := m.FS.Open(name, m.Compute[i], mode, og)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if spec.RecordDeliveries {
-				f.EnableDeliveryLog()
-			}
-			if pf != nil {
-				pf.Attach(f)
-			}
-			if ss != nil {
-				ss.Attach(f)
-			}
-			errs[i] = drive(p, f, spec, i, nodes, &unav[i])
-			res.NodeTimes[i] = p.Now()
-			files[i] = f
-			if err := f.Close(); err != nil && errs[i] == nil {
-				errs[i] = err
-			}
-		})
+	readers := make([]reader, nodes)
+	for i := range readers {
+		readers[i] = reader{m: m, res: res, og: og, rank: i}
+		m.K.AfterCall(0, readerStart, &readers[i])
 	}
 	if err := m.Run(); err != nil {
 		return nil, err
 	}
 	res.Engine = m.K.Stats()
-	for i, err := range errs {
-		if err != nil {
+	// A reader that never finished waits on a collective round or a
+	// broadcast that cannot complete, and no process is left blocked to
+	// report it: name each such node.
+	var stuck []string
+	for i := range readers {
+		if !readers[i].over {
+			stuck = append(stuck, strconv.Itoa(i))
+		}
+	}
+	if stuck != nil {
+		return nil, fmt.Errorf("workload: deadlock: node(s) %s blocked with no pending events at %v",
+			strings.Join(stuck, ", "), m.K.Now())
+	}
+	for i := range readers {
+		if err := readers[i].err; err != nil {
 			return nil, fmt.Errorf("workload: node %d: %w", i, err)
 		}
 	}
 	res.DeliveryDigests = make([]uint64, nodes)
-	res.NodeUnavailableBytes = make([]int64, nodes)
-	for i, u := range unav {
-		res.UnavailableReads += u.reads
-		res.UnavailableBytes += u.bytes
-		res.NodeUnavailableBytes[i] = u.bytes
-	}
 	if spec.RecordDeliveries {
 		res.Deliveries = make([][]pfs.Delivery, nodes)
 	}
-	for i, f := range files {
-		if f == nil {
-			continue
-		}
-		res.TotalBytes += f.BytesRead
-		res.ReadCalls += f.ReadCalls
-		res.IOBytes += f.IOBytes
-		res.DeliveryDigests[i] = f.DeliveryDigest()
+	for i := range readers {
+		r := &readers[i]
+		res.UnavailableReads += r.unavReads
+		res.UnavailableBytes += r.unavBytes
+		res.NodeUnavailableBytes[i] = r.unavBytes
+		res.Elapsed = max(res.Elapsed, res.NodeTimes[i])
+		res.addFile(i, r.f)
 		if spec.RecordDeliveries {
-			res.Deliveries[i] = f.Deliveries()
-		}
-		f.ReadTime.Each(res.ReadTime.Observe)
-	}
-	for _, t := range res.NodeTimes {
-		if t > res.Elapsed {
-			res.Elapsed = t
+			res.Deliveries[i] = r.f.Deliveries()
 		}
 	}
+	res.finish(m)
+	return res, nil
+}
+
+// newResult is the set-up Run and RunQoS share: a result for a run on m
+// with nodes compute nodes, and the machine's trace.
+func newResult(m *machine.Machine, nodes int, tr *trace.Log) *Result {
+	if tr != nil {
+		m.SetTrace(tr)
+		m.FS.SetTrace(tr)
+	}
+	return &Result{Machine: m, NodeTimes: make([]sim.Time, nodes),
+		NodeUnavailableBytes: make([]int64, nodes)}
+}
+
+// newPrefetcher builds the run's client prefetcher, tracing into the
+// run's log unless its config names one.
+func newPrefetcher(m *machine.Machine, pcfg prefetch.Config, tr *trace.Log) *prefetch.Prefetcher {
+	if tr != nil && pcfg.Trace == nil {
+		pcfg.Trace = tr
+	}
+	return prefetch.New(m.K, pcfg)
+}
+
+// addFile accounts open instance f's reads, as the result's i-th
+// delivery digest.
+func (res *Result) addFile(i int, f *pfs.File) {
+	res.TotalBytes += f.BytesRead
+	res.ReadCalls += f.ReadCalls
+	res.IOBytes += f.IOBytes
+	res.DeliveryDigests[i] = f.DeliveryDigest()
+	f.ReadTime.Each(res.ReadTime.Observe)
+}
+
+// finish fills the run-wide figures once Elapsed is known: the
+// bandwidth, the token contention and the fault counters.
+func (res *Result) finish(m *machine.Machine) {
 	res.Bandwidth = stats.MBps(res.TotalBytes, res.Elapsed)
 	res.TokenOps = m.FS.TokenOps
 	res.TokenWaits = m.FS.TokenWaits
 	res.TokenWaitTime = m.FS.TokenWaitTime
 	collectFaults(res, m)
-	return res, nil
-}
-
-// unavailTally counts one node's reads lost to dead I/O nodes.
-type unavailTally struct {
-	reads int64
-	bytes int64
 }
 
 // tolerate classifies a failed read under the spec's unavailable policy.
@@ -389,132 +382,160 @@ type unavailTally struct {
 // at the spec's request size — when the loop should move to the next
 // offset. (Crash scenarios use file sizes that divide evenly into
 // requests, so the request size is the exact loss.)
-func tolerate(spec Spec, err error, u *unavailTally) bool {
+func (r *reader) tolerate(err error) bool {
+	spec := &r.res.Spec
 	if !spec.ContinueOnUnavailable || !errors.Is(err, pfs.ErrUnavailable) {
 		return false
 	}
-	u.reads++
-	u.bytes += spec.RequestSize
+	r.unavReads++
+	r.unavBytes += spec.RequestSize
 	return true
 }
 
-// drive runs one node's read loop per the spec's pattern.
-func drive(p *sim.Proc, f *pfs.File, spec Spec, rank, parties int, u *unavailTally) error {
-	req := spec.RequestSize
-	delayThen := func(first *bool) {
-		if *first {
-			*first = false
+// reader is one compute node's closed-loop read loop, a callback state
+// machine: it opens the node's file, reads with the compute delay
+// between consecutive reads, and closes the file when the loop ends.
+// Pointer and separate-file loops read until end of file, so the read
+// that meets it pays a compute delay too. M_ASYNC loops seek to each
+// offset of the spec's pattern and end once the node's share is read.
+type reader struct {
+	m     *machine.Machine
+	res   *Result
+	og    *pfs.OpenGroup
+	rank  int
+	f     *pfs.File
+	async bool       // M_ASYNC on the shared file
+	rng   *rand.Rand // the Random pattern's draws
+	i     int64      // reads made
+	off   int64      // where the next M_ASYNC read seeks to
+	err   error
+	over  bool // the loop has ended
+
+	unavReads, unavBytes int64 // reads lost to dead I/O nodes, and their bytes
+}
+
+// readerStart opens the node's file, attaches the run's prefetch
+// service, and makes the first read.
+func readerStart(a any) {
+	r := a.(*reader)
+	spec := &r.res.Spec
+	name, mode := spec.File, spec.Mode
+	if spec.SeparateFiles {
+		name, mode = fmt.Sprintf("%s.%d", spec.File, r.rank), pfs.MAsync
+	}
+	f, err := r.m.FS.Open(name, r.m.Compute[r.rank], mode, r.og)
+	if err != nil {
+		r.err, r.over = err, true
+		return
+	}
+	r.f = f
+	if spec.RecordDeliveries {
+		f.EnableDeliveryLog()
+	}
+	if pf := r.res.Prefetch; pf != nil {
+		pf.Attach(f)
+	}
+	if ss := r.res.ServerSide; ss != nil {
+		ss.Attach(f)
+	}
+	r.async = mode == pfs.MAsync && !spec.SeparateFiles
+	if r.async {
+		switch spec.Pattern {
+		case Random:
+			r.rng = PatternRNG(*spec, r.rank)
+		case Interleaved, Partitioned, Strided:
+		default:
+			r.end(fmt.Errorf("workload: unknown pattern %v", spec.Pattern))
 			return
 		}
-		if spec.ComputeDelay > 0 {
-			p.Sleep(spec.ComputeDelay)
+	}
+	r.next()
+}
+
+// next makes the node's next read, after the compute delay unless it is
+// the first, or ends an M_ASYNC loop whose offsets have run out.
+func (r *reader) next() {
+	i := r.i
+	r.i++
+	if r.async {
+		var more bool
+		if r.off, more = r.offset(i); !more {
+			r.end(nil)
+			return
 		}
 	}
+	if d := r.res.Spec.ComputeDelay; i > 0 && d > 0 {
+		r.m.K.AfterCall(d, readerRead, r)
+		return
+	}
+	r.read()
+}
 
-	switch {
-	case spec.SeparateFiles:
-		first := true
-		for {
-			delayThen(&first)
-			if _, err := f.Read(p, req); err == io.EOF {
-				return nil
-			} else if err != nil && !tolerate(spec, err, u) {
-				return err
-			}
+// offset is the i-th offset of the node's M_ASYNC pattern; false once
+// the node's share is read.
+func (r *reader) offset(i int64) (int64, bool) {
+	spec := &r.res.Spec
+	req, size := spec.RequestSize, r.f.Size()
+	parties, rank := int64(len(r.res.NodeTimes)), int64(r.rank)
+	switch spec.Pattern {
+	case Partitioned:
+		share := size / parties
+		return rank*share + i*req, i*req < share
+	case Random:
+		if i >= size/req/parties {
+			return 0, false
 		}
-
-	case spec.Mode.Collective() || spec.Mode == pfs.MUnix || spec.Mode == pfs.MLog:
-		// Shared-pointer and collective modes: just keep reading. A
-		// tolerated unavailable read consumed its round/claim, so the
-		// loop continuing stays in step with the other parties.
-		first := true
-		for {
-			delayThen(&first)
-			if _, err := f.Read(p, req); err == io.EOF {
-				return nil
-			} else if err != nil && !tolerate(spec, err, u) {
-				return err
-			}
+		return min(r.rng.Int63n(size/req)*req, size-req), true
+	default: // Interleaved is Strided with a stride of one.
+		stride := int64(1)
+		if spec.Pattern == Strided && spec.Stride > 1 {
+			stride = int64(spec.Stride)
 		}
-
-	default: // M_ASYNC: the application manages its own pointer.
-		return driveAsync(p, f, spec, rank, parties, u)
+		off := (i*parties + rank) * stride * req
+		return off, off < size
 	}
 }
 
-// driveAsync implements the per-pattern M_ASYNC loops.
-func driveAsync(p *sim.Proc, f *pfs.File, spec Spec, rank, parties int, u *unavailTally) error {
-	req := spec.RequestSize
-	size := f.Size()
-	readAt := func(off int64, first *bool) error {
-		if !*first && spec.ComputeDelay > 0 {
-			p.Sleep(spec.ComputeDelay)
-		}
-		*first = false
-		if err := f.SeekTo(off); err != nil {
-			return err
-		}
-		_, err := f.Read(p, req)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil && tolerate(spec, err, u) {
-			return nil
-		}
-		return err
-	}
+// readerRead runs when the compute delay has passed.
+func readerRead(a any) { a.(*reader).read() }
 
-	first := true
-	switch spec.Pattern {
-	case Interleaved:
-		for r := int64(0); ; r++ {
-			off := (r*int64(parties) + int64(rank)) * req
-			if off >= size {
-				return nil
-			}
-			if err := readAt(off, &first); err != nil {
-				return err
-			}
+func (r *reader) read() {
+	if r.async {
+		if err := r.f.SeekTo(r.off); err != nil {
+			r.end(err)
+			return
 		}
-	case Partitioned:
-		share := size / int64(parties)
-		start := int64(rank) * share
-		for off := start; off < start+share; off += req {
-			if err := readAt(off, &first); err != nil {
-				return err
-			}
+	}
+	r.f.ReadCall(r.res.Spec.RequestSize, readerDone, r)
+}
+
+// readerDone takes a read's outcome: end of file ends a pointer loop
+// (an M_ASYNC loop moves on), as does an error the spec does not
+// tolerate. A tolerated unavailable read consumed its round or claim,
+// so a shared-pointer loop that goes on stays in step with the other
+// parties.
+func readerDone(a any, _ int64, err error) {
+	r := a.(*reader)
+	switch {
+	case err == io.EOF:
+		if !r.async {
+			r.end(nil)
+			return
 		}
-		return nil
-	case Random:
-		rng := PatternRNG(spec, rank)
-		records := size / req / int64(parties)
-		maxRec := size / req
-		for i := int64(0); i < records; i++ {
-			off := rng.Int63n(maxRec) * req
-			if off+req > size {
-				off = size - req
-			}
-			if err := readAt(off, &first); err != nil {
-				return err
-			}
-		}
-		return nil
-	case Strided:
-		stride := int64(spec.Stride)
-		if stride < 1 {
-			stride = 1
-		}
-		for r := int64(0); ; r++ {
-			off := (r*int64(parties)*stride + int64(rank)*stride) * req
-			if off >= size {
-				return nil
-			}
-			if err := readAt(off, &first); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("workload: unknown pattern %v", spec.Pattern)
+	case err != nil && !r.tolerate(err):
+		r.end(err)
+		return
+	}
+	r.next()
+}
+
+// end ends the node's loop with err: its completion time, then the
+// file's close.
+func (r *reader) end(err error) {
+	r.err, r.over = err, true
+	r.res.NodeTimes[r.rank] = r.m.K.Now()
+	if cerr := r.f.Close(); cerr != nil && r.err == nil {
+		r.err = cerr
 	}
 }
 
@@ -540,17 +561,4 @@ func validate(cfg machine.Config, spec *Spec) error {
 		return fmt.Errorf("workload: invalid mode %d", int(spec.Mode))
 	}
 	return nil
-}
-
-// stripeGroup resolves the stripe group server indices.
-func stripeGroup(cfg machine.Config, spec Spec) []int {
-	n := spec.StripeGroup
-	if n == 0 {
-		n = cfg.IONodes
-	}
-	group := make([]int, n)
-	for i := range group {
-		group[i] = i
-	}
-	return group
 }
