@@ -348,27 +348,31 @@ func TestArrayBadRequestPanics(t *testing.T) {
 }
 
 // refDisk serves a Disk with the drive's former service loop: one
-// process blocked on a wake queue. It is the reference the callback
-// server (diskStart/diskFinish) is differentially tested against.
+// process parked on a wake-up signal while the queue is empty. It is the
+// reference the callback server (diskStart/diskFinish) is differentially
+// tested against.
 type refDisk struct {
 	*Disk
-	wake *sim.Queue[struct{}]
+	wake *sim.Signal // the parked loop's wake-up; nil while it runs
 }
 
 func newRefDisk(k *sim.Kernel, geo Geometry, sched Sched) *refDisk {
-	r := &refDisk{Disk: New(k, "ref", geo, sched), wake: sim.NewQueue[struct{}](k)}
+	r := &refDisk{Disk: New(k, "ref", geo, sched)}
 	k.Go("disk/ref", r.serve)
 	return r
 }
 
 // submit is Submit with the loop's wake-up instead of a booked diskStart.
 func (r *refDisk) submit(req *Request) {
-	if r.enqueue(req) {
-		r.wake.Put(struct{}{})
+	if r.enqueue(req) && r.wake != nil {
+		w := r.wake
+		r.wake = nil
+		w.Fire(nil)
 	}
 }
 
-// serve is the former service loop, unchanged.
+// serve is the former service loop; it parked on a queue of wake
+// tokens, which booked the same single wake-up event.
 func (r *refDisk) serve(p *sim.Proc) {
 	d := r.Disk
 	idleGap := true // spin-up counts as a gap
@@ -376,13 +380,8 @@ func (r *refDisk) serve(p *sim.Proc) {
 		if len(d.queue) == 0 {
 			idleGap = true
 			for len(d.queue) == 0 {
-				r.wake.Get(p)
-			}
-		}
-		// Drain stale wake tokens so the emptiness check stays accurate.
-		for {
-			if _, ok := r.wake.TryGet(); !ok {
-				break
+				r.wake = sim.NewSignal(d.k)
+				r.wake.Wait(p)
 			}
 		}
 		req := d.pick()

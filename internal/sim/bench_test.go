@@ -152,28 +152,6 @@ func BenchmarkProcSpawn(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueHandoff measures producer/consumer throughput across two
-// processes.
-func BenchmarkQueueHandoff(b *testing.B) {
-	k := NewKernel()
-	q := NewQueue[int](k)
-	k.Go("consumer", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			q.Get(p)
-		}
-	})
-	k.Go("producer", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			q.Put(i)
-			p.Sleep(1)
-		}
-	})
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkSemaphore measures contended acquire/release cycles.
 func BenchmarkSemaphore(b *testing.B) {
 	k := NewKernel()

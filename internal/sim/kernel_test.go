@@ -124,8 +124,8 @@ func TestProcPanicReported(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[int](k)
-	k.Go("stuck", func(p *Proc) { q.Get(p) })
+	q := NewSemaphore(k, 0)
+	k.Go("stuck", func(p *Proc) { q.Acquire(p, 1) })
 	err := k.Run()
 	if err == nil {
 		t.Fatal("Run returned nil for deadlocked process")
@@ -224,74 +224,6 @@ func TestSignalDoubleFirePanics(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestQueueFIFO(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue[int](k)
-	var got []int
-	k.Go("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, q.Get(p))
-		}
-	})
-	k.Go("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(Millisecond)
-			q.Put(i)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if got[i] != i {
-			t.Fatalf("queue order %v", got)
-		}
-	}
-}
-
-func TestQueueManyConsumers(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue[int](k)
-	total := 0
-	for i := 0; i < 4; i++ {
-		k.Go(fmt.Sprintf("c%d", i), func(p *Proc) {
-			for j := 0; j < 25; j++ {
-				total += q.Get(p)
-			}
-		})
-	}
-	k.Go("producer", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			q.Put(1)
-			if i%10 == 0 {
-				p.Sleep(Microsecond)
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if total != 100 {
-		t.Fatalf("consumed %d, want 100", total)
-	}
-}
-
-func TestQueueTryGet(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue[string](k)
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue returned ok")
-	}
-	q.Put("a")
-	q.Put("b")
-	if v, ok := q.TryGet(); !ok || v != "a" {
-		t.Fatalf("TryGet = %q,%v", v, ok)
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d", q.Len())
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // Proc is a simulated process: code that the kernel runs on a coroutine
 // (iter.Pull) and resumes from event callbacks, so at most one process
 // (or event callback) executes at any real instant. Blocking methods
-// (Sleep, Signal.Wait, Queue.Get, ...) must only be called from the
-// process itself.
+// (Sleep, Signal.Wait, Semaphore.Acquire, ...) must only be called from
+// the process itself.
 //
 // A switch is a direct coroutine hand-off, not a round trip through a
 // channel pair between two goroutines. iter.Pull is the module's only

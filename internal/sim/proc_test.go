@@ -14,20 +14,20 @@ import (
 func TestCloseEndsParkedProcs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel()
-	q := NewQueue[int](k)
+	q := NewSemaphore(k, 0)
 	deferred := 0
 	k.Go("server", func(p *Proc) {
 		defer func() { deferred++ }()
 		for {
-			q.Get(p)
+			q.Acquire(p, 1)
 		}
 	})
 	k.Go("stuck", func(p *Proc) {
 		defer func() { deferred++ }()
-		NewQueue[int](k).Get(p) // nobody ever puts
+		NewSemaphore(k, 0).Acquire(p, 1) // nobody ever puts
 	})
 	k.Go("client", func(p *Proc) {
-		q.Put(1)
+		q.Release(1)
 		p.Sleep(Millisecond)
 	})
 	if err := k.Run(); err == nil {
@@ -56,16 +56,16 @@ func TestCloseEndsParkedProcs(t *testing.T) {
 // RunUntil deadline.
 func TestCloseKeepsFingerprint(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[int](k)
+	q := NewSemaphore(k, 0)
 	k.Go("server", func(p *Proc) {
 		for {
-			q.Get(p)
+			q.Acquire(p, 1)
 			p.Sleep(Millisecond)
 		}
 	})
 	k.Go("client", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			q.Put(i)
+			q.Release(1)
 			p.Sleep(Millisecond)
 		}
 	})
@@ -87,12 +87,12 @@ func TestCloseKeepsFingerprint(t *testing.T) {
 // to wake it is a deadlock, even next to processes that ended cleanly.
 func TestWorkerBlockedIsStillDeadlock(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[int](k)
-	k.Go("server", func(p *Proc) { q.Get(p) })
-	k.Go("client", func(p *Proc) { q.Put(1) })
-	other := NewQueue[int](k)
+	q := NewSemaphore(k, 0)
+	k.Go("server", func(p *Proc) { q.Acquire(p, 1) })
+	k.Go("client", func(p *Proc) { q.Release(1) })
+	other := NewSemaphore(k, 0)
 	k.Go("stuck-worker", func(p *Proc) {
-		other.Get(p) // nobody ever puts
+		other.Acquire(p, 1) // nobody ever puts
 	})
 	if err := k.Run(); err == nil {
 		t.Fatal("blocked worker not reported as deadlock")
@@ -103,15 +103,15 @@ func TestWorkerBlockedIsStillDeadlock(t *testing.T) {
 // aborts the run, and Run returns the panic rather than a deadlock.
 func TestServiceLoopPanicReported(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[int](k)
+	q := NewSemaphore(k, 0)
 	k.Go("bad", func(p *Proc) {
 		for {
-			q.Get(p)
+			q.Acquire(p, 1)
 			p.Sleep(Second)
 			panic("service loop crashed")
 		}
 	})
-	k.Go("client", func(p *Proc) { q.Put(1) })
+	k.Go("client", func(p *Proc) { q.Release(1) })
 	err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "service loop crashed") {
 		t.Fatalf("service loop panic not reported: %v", err)

@@ -102,72 +102,6 @@ func (s *Signal) Wait(p *Proc) error {
 	return p.Park()
 }
 
-// Queue is an unbounded FIFO channel between processes. Put never blocks;
-// Get blocks until an item is available. Items are delivered in insertion
-// order and waiters are served in arrival order. Both item and waiter
-// storage are head-indexed rings over a reused backing slice, so a
-// steady-state producer/consumer pair allocates nothing.
-type Queue[T any] struct {
-	k       *Kernel
-	items   []T
-	head    int
-	waiters []*Proc
-	whead   int
-}
-
-// NewQueue returns an empty queue on kernel k.
-func NewQueue[T any](k *Kernel) *Queue[T] { return &Queue[T]{k: k} }
-
-// Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) - q.head }
-
-// Put appends v and wakes the longest-waiting getter, if any. It may be
-// called from process or event context.
-func (q *Queue[T]) Put(v T) {
-	q.items = append(q.items, v)
-	if q.whead < len(q.waiters) {
-		p := q.waiters[q.whead]
-		q.waiters[q.whead] = nil
-		q.whead++
-		if q.whead == len(q.waiters) {
-			q.waiters = q.waiters[:0]
-			q.whead = 0
-		}
-		q.k.AfterCall(0, wakeProc, p)
-	}
-}
-
-func (q *Queue[T]) pop() T {
-	v := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return v
-}
-
-// Get removes and returns the head item, blocking while the queue is
-// empty.
-func (q *Queue[T]) Get(p *Proc) T {
-	for q.head == len(q.items) {
-		q.waiters = append(q.waiters, p)
-		p.block()
-	}
-	return q.pop()
-}
-
-// TryGet removes and returns the head item without blocking. ok is false
-// if the queue is empty.
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if q.head == len(q.items) {
-		return v, false
-	}
-	return q.pop(), true
-}
-
 // semWaiter is a pending AcquireCall: the units it asks for and the
 // continuation a Release books once they are granted.
 type semWaiter struct {
