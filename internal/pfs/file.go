@@ -142,7 +142,8 @@ func (f *File) Close() error {
 // advancing the appropriate file pointer(s). It returns the bytes read;
 // at end of file it returns 0, io.EOF. Collective modes require all
 // parties of the open group to call Read for the operation to complete.
-// It is ReadCall for a process: it parks p until the read returns.
+// It is ReadCall for a process: it parks p until the read returns. An
+// open instance holds one parked reader, so it runs one Read at a time.
 func (f *File) Read(p *sim.Proc, n int64) (int64, error) {
 	f.reader = p
 	f.ReadCall(n, readResume, f)
