@@ -20,7 +20,7 @@ vet:
 # to prove they still compile and run. The performance harness is
 # benchsuite/ (bash benchsuite/run.sh).
 bench-short:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./internal/sim/ ./internal/mesh/ ./internal/sweep/ ./internal/stats/ ./internal/pfs/ ./internal/ionode/
+	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./internal/sim/ ./internal/mesh/ ./internal/sweep/ ./internal/stats/ ./internal/pfs/ ./internal/ionode/ ./internal/disk/ ./internal/prefetch/ .
 
 # benchsuite-test runs the benchmark suite's own tests. benchsuite/ is a
 # module of its own (it builds against this one through a replace
@@ -106,7 +106,7 @@ ci: fmt vet lint build race benchsuite-test
 	$(GO) run ./cmd/experiments -quick -run ext-qos -parallel 4
 	$(GO) run ./cmd/experiments -quick -run ext-scale -parallel 4
 	$(GO) run ./cmd/detgate -allocs
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./internal/sim/ ./internal/mesh/ ./internal/sweep/ ./internal/stats/ ./internal/pfs/ ./internal/ionode/
+	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./internal/sim/ ./internal/mesh/ ./internal/sweep/ ./internal/stats/ ./internal/pfs/ ./internal/ionode/ ./internal/disk/ ./internal/prefetch/ .
 	bash benchsuite/run.sh --workload paper-balanced --seconds 1 --trace 1 > /dev/null
 	@echo "ci: all gates passed"
 

@@ -93,7 +93,7 @@ func main() {
 	}
 
 	fmt.Printf("machine: %d compute + %d I/O nodes, %d-disk arrays, %s blocks\n",
-		*computeN, *ioN, cfg.ArrayMembers, kb(cfg.UFS.BlockSize))
+		cfg.ComputeNodes, cfg.IONodes, cfg.ArrayMembers, kb(cfg.UFS.BlockSize))
 	fmt.Printf("workload: %s, %s requests, %s file, delay %.3fs, prefetch %v (depth %d)\n",
 		m, kb(spec.RequestSize), mb(spec.FileSize), *delay, *pf, *depth)
 	fmt.Printf("stripe: unit %s, group %d\n\n", kb(*suKB<<10), len(stripeList(cfg, spec)))

@@ -1,6 +1,7 @@
 // Checkpoint: an iterative SPMD solver that periodically checkpoints its
 // state to the PFS — the write-heavy counterpart of the paper's read
-// workloads, written against the historical nx-style interface.
+// workloads. Each solver is a simulated process that opens the file in
+// M_ASYNC and writes its partition through pfs.File.
 //
 // Each iteration computes for a while; every few iterations the solver
 // dumps its partition of the state. Synchronous checkpoints stall the
@@ -16,7 +17,6 @@ import (
 	"log"
 
 	"repro/internal/machine"
-	"repro/internal/nx"
 	"repro/internal/pfs"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
@@ -59,12 +59,10 @@ func run(behind bool) sim.Time {
 	for i := 0; i < parties; i++ {
 		i := i
 		m.K.Go(fmt.Sprintf("solver%d", i), func(p *sim.Proc) {
-			px := nx.Attach(p, m, m.Compute[i])
-			fd, err := px.Gopen("ckpt", pfs.MAsync, nil)
+			f, err := m.FS.Open("ckpt", m.Compute[i], pfs.MAsync, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
-			f, _ := px.File(fd)
 			base := int64(i) * perNode
 			for iter := 1; iter <= iterations; iter++ {
 				p.Sleep(computeT) // the science happens here
@@ -88,7 +86,7 @@ func run(behind bool) sim.Time {
 					log.Fatal(err)
 				}
 			}
-			if err := px.Close(fd); err != nil {
+			if err := f.Close(); err != nil {
 				log.Fatal(err)
 			}
 		})

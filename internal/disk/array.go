@@ -194,12 +194,6 @@ func (a *Array) Capacity() int64 {
 	return a.members[0].Geometry().Capacity() * int64(len(a.members))
 }
 
-// SectorSize reports the logical sector size of the array: one stripe of
-// member sectors, the minimum I/O granularity.
-func (a *Array) SectorSize() int64 {
-	return a.members[0].Geometry().SectorSize * int64(len(a.members))
-}
-
 // arrayOp is the pooled bookkeeping of one in-flight ReadCall/WriteCall:
 // the member Request structs, the completion countdown, and the caller's
 // callback. Ops and their request storage are recycled on the array's

@@ -232,8 +232,8 @@ type FaultProfile struct {
 	TransientFrac float64
 	// PermanentFrac is the fraction of faults that kill the sector: every
 	// later request starting there fails without a new draw. Faults that
-	// are neither transient nor permanent are independent one-shots (the
-	// legacy InjectFaults behaviour): the re-read is a fresh draw.
+	// are neither transient nor permanent are independent one-shots: the
+	// re-read is a fresh draw.
 	PermanentFrac float64
 	// Jitter inflates each request's service time by a uniform factor in
 	// [0, Jitter] while injection is armed, modelling the retry storms
@@ -253,15 +253,6 @@ func (fp FaultProfile) validate() {
 	if fp.Jitter < 0 {
 		panic(fmt.Sprintf("disk: jitter %v negative", fp.Jitter))
 	}
-}
-
-// InjectFaults arms legacy fault injection: each request independently
-// fails with probability rate (deterministically, from seed). The
-// request still consumes its full service time — the error surfaces at
-// completion, as a real unrecoverable read does. Shorthand for
-// InjectFaultProfile with one-shot faults only.
-func (d *Disk) InjectFaults(rate float64, seed int64) {
-	d.InjectFaultProfile(FaultProfile{Rate: rate, Seed: seed})
 }
 
 // InjectFaultProfile arms (or with a zero-rate profile disarms) the full

@@ -10,7 +10,7 @@ import (
 func TestFaultInjectionAlwaysFails(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, "d0", testGeo(), FIFO)
-	d.InjectFaults(1, 1)
+	d.InjectFaultProfile(FaultProfile{Rate: 1, Seed: 1})
 	done := readSig(d, 0, 8)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 	run := func() []bool {
 		k := sim.NewKernel()
 		d := New(k, "d0", testGeo(), FIFO)
-		d.InjectFaults(0.3, 99)
+		d.InjectFaultProfile(FaultProfile{Rate: 0.3, Seed: 99})
 		var sigs []*sim.Signal
 		for i := int64(0); i < 40; i++ {
 			sigs = append(sigs, readSig(d, i*8, 8))
@@ -83,7 +83,7 @@ func TestFaultRateValidation(t *testing.T) {
 			t.Fatal("fault rate 2 accepted")
 		}
 	}()
-	d.InjectFaults(2, 0)
+	d.InjectFaultProfile(FaultProfile{Rate: 2, Seed: 0})
 }
 
 func TestTransientFaultRecoversOnReread(t *testing.T) {
@@ -205,7 +205,7 @@ func TestFaultProfileValidation(t *testing.T) {
 func TestArrayPropagatesMemberFault(t *testing.T) {
 	k := sim.NewKernel()
 	a := NewArray(k, "raid", 4, testGeo(), FIFO, 0)
-	a.Members()[2].InjectFaults(1, 7)
+	a.Members()[2].InjectFaultProfile(FaultProfile{Rate: 1, Seed: 7})
 	done := arrayReadSig(a, 0, 64<<10)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ const (
 	noDivergence   lockstepAction = iota // stays in lockstep to the end
 	failMember                           // FailMember
 	failAndRebuild                       // FailMember, then StartRebuild
-	injectFaults                         // Members()[i].InjectFaults
+	injectFaults                         // Members()[i].InjectFaultProfile
 	numLockstepActions
 )
 
@@ -169,7 +169,7 @@ func runLockstep(t *testing.T, perMember bool, sched Sched, seed int64, s lockst
 			a.FailMember(s.member)
 			a.StartRebuild(RebuildPolicy{Chunk: 256 << 10, Gap: sim.Millisecond})
 		case injectFaults:
-			a.Members()[s.member].InjectFaults(0.3, seed)
+			a.Members()[s.member].InjectFaultProfile(FaultProfile{Rate: 0.3, Seed: seed})
 		}
 	}
 	if s.late {
@@ -210,7 +210,7 @@ func runLockstep(t *testing.T, perMember bool, sched Sched, seed int64, s lockst
 
 // TestLockstepMatchesPerMember: on seeded schedules under every
 // scheduling policy, a healthy array served in lockstep — and unlocked
-// mid-run by FailMember, StartRebuild or a member's InjectFaults —
+// mid-run by FailMember, StartRebuild or a member's InjectFaultProfile —
 // completes every request at the same instant, in
 // the same order and with the same error as the same array driven member
 // by member, and leaves every member with the same counters.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/sim"
 )
 
@@ -119,7 +120,7 @@ func tripBreaker(t *testing.T, k *sim.Kernel, s *Server) *[]error {
 	t.Helper()
 	s.SetShedPolicy(ShedPolicy{Threshold: 2, Cooldown: 100 * sim.Millisecond})
 	for _, d := range s.FS().Array().Members() {
-		d.InjectFaults(1, 1)
+		d.InjectFaultProfile(disk.FaultProfile{Rate: 1, Seed: 1})
 	}
 	errs := &[]error{}
 	read := func(at sim.Time) {
@@ -150,7 +151,7 @@ func TestBreakerHalfOpenProbeSuccessCloses(t *testing.T) {
 	// Heal the disks so the probe can succeed.
 	k.At(300*sim.Millisecond, func() {
 		for _, d := range s.FS().Array().Members() {
-			d.InjectFaults(0, 0)
+			d.InjectFaultProfile(disk.FaultProfile{})
 		}
 	})
 	// Past the deadline: this request is the probe...
@@ -231,7 +232,7 @@ func TestBreakerProbeAbortReleasesSlot(t *testing.T) {
 	tripBreaker(t, k, s)
 	k.At(300*sim.Millisecond, func() {
 		for _, d := range s.FS().Array().Members() {
-			d.InjectFaults(0, 0)
+			d.InjectFaultProfile(disk.FaultProfile{})
 		}
 	})
 	var badErr, retryErr error

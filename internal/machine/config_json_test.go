@@ -24,13 +24,6 @@ func TestConfigRoundTrip(t *testing.T) {
 	orig.MemberFail = MemberFailPlan{At: 3 * sim.Second, Array: 1, Member: 2}
 	orig.Rebuild = disk.RebuildPolicy{Chunk: 128 << 10, Gap: 5 * sim.Millisecond}
 	orig.NoParity = true
-	// Same for the prefetcher-zoo knobs: every controller field non-zero.
-	orig.Prefetch = PrefetchOptions{
-		Policy: "hybrid",
-		Controller: PrefetchController{Interval: 8, MinDepth: 1, MaxDepth: 6,
-			MinBuffers: 2, MaxBuffers: 24, Step: 2,
-			LowHit: 0.25, HighHit: 0.75, ServiceSlack: 3},
-	}
 	// QoS knobs: every fair-scheduler field non-zero, including the
 	// cycled weights slice (Config is no longer ==-comparable).
 	orig.Fair = ionode.FairPolicy{
@@ -74,12 +67,13 @@ func TestLoadConfigErrors(t *testing.T) {
 	}
 }
 
-// TestLoadConfigRejectsRemovedEngineKnobs: configs saved while the
-// machine still had a sharded engine carry Shards and IOGroups. They
-// must fail loudly, naming the field, rather than silently run on the
-// single kernel.
-func TestLoadConfigRejectsRemovedEngineKnobs(t *testing.T) {
-	for _, field := range []string{`"Shards": 4`, `"IOGroups": 16`} {
+// TestLoadConfigRejectsRemovedKnobs: configs saved while the machine
+// still had a sharded engine carry Shards and IOGroups, and older ones a
+// machine-level Prefetch block (policy and controller now live only on
+// prefetch.Config). They must fail loudly, naming the field, rather than
+// silently run without it.
+func TestLoadConfigRejectsRemovedKnobs(t *testing.T) {
+	for _, field := range []string{`"Shards": 4`, `"IOGroups": 16`, `"Prefetch": {"Policy": "hybrid"}`} {
 		path := filepath.Join(t.TempDir(), "old.json")
 		if err := os.WriteFile(path, []byte(`{"ComputeNodes": 4, `+field+`}`), 0o644); err != nil {
 			t.Fatal(err)

@@ -46,40 +46,6 @@ type MemberFailPlan struct {
 // Enabled reports whether a member failure is scheduled.
 func (mp MemberFailPlan) Enabled() bool { return mp.At > 0 }
 
-// PrefetchOptions carries machine-level defaults for the client
-// prefetcher: a predictor policy name and an online controller
-// configuration. workload.Run applies them to any Spec that enables
-// prefetching without choosing its own; the zero value changes nothing.
-//
-// The structs mirror prefetch.Config's Policy/ControllerConfig fields
-// instead of importing them — machine models hardware, prefetch is
-// client software policy, and the prefetch package's own tests build
-// machines. The field-for-field struct conversion in workload keeps the
-// mirror honest at compile time.
-type PrefetchOptions struct {
-	// Policy names the predictor: "", "mode", "sequential", "stride", or
-	// "hybrid" (see prefetch.NewPolicy).
-	Policy string
-	// Controller arms the online Depth/MaxBuffers controller when its
-	// Interval is non-zero (see prefetch.ControllerConfig).
-	Controller PrefetchController
-}
-
-// PrefetchController mirrors prefetch.ControllerConfig field for field
-// (workload converts between the two), so it survives the machine
-// config's JSON round-trip without an interface in sight.
-type PrefetchController struct {
-	Interval     int64
-	MinDepth     int
-	MaxDepth     int
-	MinBuffers   int
-	MaxBuffers   int
-	Step         int
-	LowHit       float64
-	HighHit      float64
-	ServiceSlack float64
-}
-
 // Config describes the machine to build. Zero values are filled from
 // DefaultConfig by Build, so callers can override selectively.
 type Config struct {
@@ -110,11 +76,6 @@ type Config struct {
 	// DiskFaultJitter stretches per-request service times by up to this
 	// fraction while fault injection is armed (0 disables).
 	DiskFaultJitter float64
-
-	// Prefetch supplies machine-level prefetcher defaults (policy name
-	// and online controller) that workload.Run layers under any Spec
-	// that enables prefetching without choosing its own.
-	Prefetch PrefetchOptions
 
 	// Shed installs the I/O-node fault breaker on every server: after
 	// Threshold consecutive disk faults a node fast-fails requests for
@@ -332,10 +293,6 @@ func (m *Machine) Executed() uint64 { return m.K.Executed() }
 // deterministic property of the schedule (benchsuite reports it as
 // sim.max_queue_depth).
 func (m *Machine) MaxQueueDepth() int { return m.K.MaxPending() }
-
-// Config returns the configuration the machine was built with (geometry
-// fields filled in).
-func (m *Machine) Config() Config { return m.cfg }
 
 // IONodeBytes reports the bytes served by each I/O node so far.
 func (m *Machine) IONodeBytes() []int64 {

@@ -34,7 +34,7 @@ func TestBuildAsymmetric(t *testing.T) {
 	cfg.IONodes = 5
 	m := Build(cfg)
 	// 8 nodes fit a 3x3 near-square grid.
-	if got := m.Config().Mesh; got.Width != 3 || got.Height != 3 {
+	if got := m.cfg.Mesh; got.Width != 3 || got.Height != 3 {
 		t.Fatalf("mesh %dx%d, want 3x3", got.Width, got.Height)
 	}
 	if m.Mesh.Nodes() < 8 {

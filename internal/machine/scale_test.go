@@ -20,7 +20,7 @@ func TestBuildScaleShape(t *testing.T) {
 		t.Fatalf("built %d compute / %d servers / %d arrays", len(m.Compute), len(m.Servers), len(m.Arrays))
 	}
 	// 1280 nodes fit a 36x36 near-square grid.
-	if got := m.Config().Mesh; got.Width != 36 || got.Height != 36 {
+	if got := m.cfg.Mesh; got.Width != 36 || got.Height != 36 {
 		t.Fatalf("mesh %dx%d, want 36x36", got.Width, got.Height)
 	}
 }

@@ -30,27 +30,22 @@ type art struct {
 	issued int64
 }
 
-// IReadAt queues an asynchronous read of [off, off+n) and returns its
-// tracking structure immediately (the setup phase). The request is
-// processed FIFO by the file's asynchronous request thread. An
-// out-of-range request fails the returned signal rather than erroring
-// synchronously, matching how the asynchronous path reports errors at
-// wait time.
-func (f *File) IReadAt(off, n int64) *Async {
-	return f.enqueue(&Async{Off: off, N: n})
-}
-
 // IWriteAt queues an asynchronous write of [off, off+n), the write-side
-// twin of IReadAt (used by the write-behind extension).
+// twin of IReadAtReusing (used by the write-behind extension).
 func (f *File) IWriteAt(off, n int64) *Async {
 	return f.enqueue(&Async{Off: off, N: n, Write: true})
 }
 
-// IReadAtReusing is IReadAt with caller-managed request storage: req
-// (nil on the first call) is reset and requeued, so a steady stream of
-// asynchronous reads — the prefetcher's issue loop — allocates no Async
-// and no Signal. The caller must not requeue req until its Done has
-// fired and every consumer is finished with it.
+// IReadAtReusing queues an asynchronous read of [off, off+n) and returns
+// its tracking structure immediately (the setup phase). The request is
+// processed FIFO by the file's asynchronous request thread. An
+// out-of-range request fails the returned signal rather than erroring
+// synchronously, matching how the asynchronous path reports errors at
+// wait time. The caller manages the request storage: req (nil on the
+// first call) is reset and requeued, so a steady stream of asynchronous
+// reads — the prefetcher's issue loop — allocates no Async and no Signal.
+// The caller must not requeue req until its Done has fired and every
+// consumer is finished with it.
 func (f *File) IReadAtReusing(req *Async, off, n int64) *Async {
 	if req == nil {
 		req = &Async{}

@@ -31,9 +31,9 @@ func TestARTPostsOneAtATime(t *testing.T) {
 	var order []int
 	enqueue := func(wantEvents int) {
 		i := len(reqs)
-		before := r.k.Pending()
-		a := f.IReadAt(int64(i)*128<<10, 128<<10)
-		if got := r.k.Pending() - before; got != wantEvents {
+		before := r.k.Stats().Scheduled
+		a := f.IReadAtReusing(nil, int64(i)*128<<10, 128<<10)
+		if got := int(r.k.Stats().Scheduled - before); got != wantEvents {
 			t.Errorf("request %d booked %d events, want %d", i, got, wantEvents)
 		}
 		a.Done.OnFireCall(func(any, error) { fired[i]++; order = append(order, i) }, nil)

@@ -45,12 +45,6 @@ func refRun(cfg machine.Config, spec workload.Spec) (*workload.Result, error) {
 		if spec.Trace != nil && pcfg.Trace == nil {
 			pcfg.Trace = spec.Trace
 		}
-		if pcfg.Predictor == nil && pcfg.Policy == "" {
-			pcfg.Policy = cfg.Prefetch.Policy
-		}
-		if !pcfg.Controller.Enabled() {
-			pcfg.Controller = prefetch.ControllerConfig(cfg.Prefetch.Controller)
-		}
 		pf = prefetch.New(m.K, pcfg)
 		res.Prefetch = pf
 	case spec.ServerSide != nil:

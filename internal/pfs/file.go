@@ -66,9 +66,6 @@ func (f *File) Name() string { return f.meta.name }
 // Size returns the file's length in bytes.
 func (f *File) Size() int64 { return f.meta.size }
 
-// Mode returns the I/O mode the file was opened in.
-func (f *File) Mode() Mode { return f.mode }
-
 // Node returns the compute node this instance belongs to.
 func (f *File) Node() int { return f.node }
 
@@ -79,9 +76,6 @@ func (f *File) Parties() int {
 	}
 	return f.group.parties
 }
-
-// Offset returns the individual file pointer.
-func (f *File) Offset() int64 { return f.offset }
 
 // SetPrefetcher installs (or, with nil, removes) the prefetch service for
 // this open instance.

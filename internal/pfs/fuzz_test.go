@@ -66,12 +66,12 @@ func FuzzModeOffsets(f *testing.F) {
 								t.Errorf("seek %d: %v", want, err)
 								return
 							}
-							if f.Offset() != want {
-								t.Errorf("Offset=%d after SeekTo(%d)", f.Offset(), want)
+							if f.offset != want {
+								t.Errorf("Offset=%d after SeekTo(%d)", f.offset, want)
 								return
 							}
 						}
-						before := f.Offset()
+						before := f.offset
 						n, err := f.Read(p, req)
 						if err == io.EOF {
 							if before != size {
@@ -87,9 +87,9 @@ func FuzzModeOffsets(f *testing.F) {
 						if before+wantN > size {
 							wantN = size - before
 						}
-						if n != wantN || f.Offset() != before+wantN {
+						if n != wantN || f.offset != before+wantN {
 							t.Errorf("read at %d: n=%d Offset=%d, want n=%d Offset=%d",
-								before, n, f.Offset(), wantN, before+wantN)
+								before, n, f.offset, wantN, before+wantN)
 							return
 						}
 					}

@@ -324,6 +324,44 @@ func TestSeek(t *testing.T) {
 	}
 }
 
+// TestSetModeMidFile: setiomode switches an open instance's mode after
+// it has read, refuses a collective mode without an open group, and
+// refuses an invalid mode or a closed file; a closed file refuses reads.
+func TestSetModeMidFile(t *testing.T) {
+	r := newRig(t, 1, 2)
+	if err := r.fsys.Create("f", 512<<10); err != nil {
+		t.Fatal(err)
+	}
+	r.k.Go("reader", func(p *sim.Proc) {
+		f, _ := r.fsys.Open("f", 0, MUnix, nil)
+		if _, err := f.Read(p, 64<<10); err != nil {
+			t.Error(err)
+		}
+		if err := f.SetMode(MAsync); err != nil || f.mode != MAsync {
+			t.Errorf("SetMode(M_ASYNC): mode %v, err %v", f.mode, err)
+		}
+		if _, err := f.Read(p, 64<<10); err != nil {
+			t.Errorf("read after SetMode: %v", err)
+		}
+		if err := f.SetMode(MRecord); !errors.Is(err, ErrNeedGroup) || f.mode != MAsync {
+			t.Errorf("SetMode(M_RECORD) without a group: mode %v, err %v", f.mode, err)
+		}
+		if err := f.SetMode(Mode(6)); err == nil {
+			t.Error("invalid mode accepted")
+		}
+		f.Close()
+		if err := f.SetMode(MUnix); !errors.Is(err, ErrClosed) {
+			t.Errorf("SetMode after close: %v", err)
+		}
+		if _, err := f.Read(p, 1); !errors.Is(err, ErrClosed) {
+			t.Errorf("read after close: %v", err)
+		}
+	})
+	if err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // runCollective drives nodes parties through a whole-file read in the
 // given mode and returns total bytes read and the finish time.
 func runCollective(t *testing.T, mode Mode, parties int, reqSize, fileSize int64) (int64, sim.Time) {
@@ -526,7 +564,7 @@ func TestARTFIFOAndCompletion(t *testing.T) {
 		var reqs []*Async
 		for i := 0; i < 4; i++ {
 			i := i
-			a := f.IReadAt(int64(i)*256<<10, 256<<10)
+			a := f.IReadAtReusing(nil, int64(i)*256<<10, 256<<10)
 			a.Done.OnFireCall(func(any, error) { order = append(order, i) }, nil)
 			reqs = append(reqs, a)
 		}
@@ -556,12 +594,12 @@ func TestARTBadRequestFailsAsync(t *testing.T) {
 	}
 	r.k.Go("issuer", func(p *sim.Proc) {
 		f, _ := r.fsys.Open("f", 0, MAsync, nil)
-		a := f.IReadAt(1<<20, 64<<10) // past EOF
+		a := f.IReadAtReusing(nil, 1<<20, 64<<10) // past EOF
 		if err := a.Done.Wait(p); err == nil {
 			t.Error("out-of-range async read reported success")
 		}
 		f.Close()
-		b := f.IReadAt(0, 1024)
+		b := f.IReadAtReusing(nil, 0, 1024)
 		if err := b.Done.Wait(p); !errors.Is(err, ErrClosed) {
 			t.Errorf("async after close: %v", err)
 		}

@@ -80,7 +80,8 @@ func refRead(p *sim.Proc, f *File, n int64) (int64, error) {
 func refLockToken(p *sim.Proc, f *File) {
 	fsys := f.fsys
 	t0 := p.Now()
-	f.meta.token.Lock(p)
+	f.meta.token.LockCall(sim.Resume, p)
+	p.Park()
 	if w := p.Now() - t0; w > 0 {
 		fsys.TokenWaits++
 		fsys.TokenWaitTime += w

@@ -25,7 +25,7 @@ func TestFailedPrefetchRetires(t *testing.T) {
 	setFaults := func(rate float64) {
 		for _, a := range m.Arrays {
 			for i, d := range a.Members() {
-				d.InjectFaults(rate, int64(i))
+				d.InjectFaultProfile(disk.FaultProfile{Rate: rate, Seed: int64(i)})
 			}
 		}
 	}

@@ -527,8 +527,8 @@ func (pf *Prefetcher) emit(kind trace.Kind, f *pfs.File, off, n int64) {
 // Zoo returns the predictor registry when the configured policy carries
 // one (the hybrid), nil otherwise.
 func (pf *Prefetcher) Zoo() *Registry {
-	if h, ok := pf.cfg.Predictor.(interface{ Registry() *Registry }); ok {
-		return h.Registry()
+	if h, ok := pf.cfg.Predictor.(*HybridPredictor); ok {
+		return h.reg
 	}
 	return nil
 }

@@ -244,9 +244,6 @@ func NewDefaultHybrid() *HybridPredictor {
 	return NewHybrid(reg)
 }
 
-// Registry exposes the zoo's accuracy book.
-func (h *HybridPredictor) Registry() *Registry { return h.reg }
-
 // Observe grades and trains every source.
 func (h *HybridPredictor) Observe(f *pfs.File, off, n int64) { h.reg.observe(f, off, n) }
 

@@ -3,6 +3,7 @@ package prefetch_test
 import (
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/machine"
 	"repro/internal/pfs"
 	"repro/internal/prefetch"
@@ -134,7 +135,7 @@ func TestWriteBehindSurfacesDiskErrors(t *testing.T) {
 	}
 	for _, a := range m.Arrays {
 		for i, d := range a.Members() {
-			d.InjectFaults(1, int64(i))
+			d.InjectFaultProfile(disk.FaultProfile{Rate: 1, Seed: int64(i)})
 		}
 	}
 	wb := prefetch.NewWriteBehind(m.K, prefetch.DefaultWriteBehindConfig())

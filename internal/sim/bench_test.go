@@ -12,7 +12,7 @@ func BenchmarkSchedule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.At(k.Now(), fn)
-		if k.Pending() >= 1024 {
+		if k.q.n >= 1024 {
 			if err := k.Run(); err != nil {
 				b.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func BenchmarkProcSpawn(b *testing.B) {
 	body := func(p *Proc) { p.Sleep(1) }
 	for i := 0; i < b.N; i++ {
 		k.Go("short", body)
-		if k.Pending() >= 64 {
+		if k.q.n >= 64 {
 			if err := k.Run(); err != nil {
 				b.Fatal(err)
 			}

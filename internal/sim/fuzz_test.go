@@ -127,8 +127,8 @@ func FuzzKernelOrdering(f *testing.F) {
 		if k.Executed() != uint64(issued) {
 			t.Fatalf("kernel counted %d executions, harness %d", k.Executed(), issued)
 		}
-		if k.Pending() != 0 || k.Live() != 0 {
-			t.Fatalf("residual state: %d pending events, %d live procs", k.Pending(), k.Live())
+		if k.q.n != 0 || k.Live() != 0 {
+			t.Fatalf("residual state: %d pending events, %d live procs", k.q.n, k.Live())
 		}
 		seen := make(map[int]bool, len(execd))
 		for i, r := range execd {

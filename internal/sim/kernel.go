@@ -26,9 +26,10 @@ type event struct {
 }
 
 // Kernel is a discrete-event simulation scheduler. It is not safe for
-// concurrent use from multiple OS threads; all concurrency in a simulation
-// is expressed through processes, which the kernel interleaves
-// deterministically one at a time.
+// concurrent use from multiple OS threads. A simulation's concurrency is
+// events: callbacks booked with At/AfterCall, most of them pooled state
+// machines, and processes (Go), whose every resumption is an event. The
+// kernel runs them deterministically one at a time.
 //
 // Simultaneous events execute in an explicit documented total order,
 // never by queue insertion accident: (time, seq), where seq is the
@@ -66,9 +67,6 @@ func NewKernel() *Kernel {
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Pending reports the number of events waiting to run.
-func (k *Kernel) Pending() int { return k.q.n }
 
 // MaxPending reports the high-water mark of the pending-event count —
 // the deepest the event queue ever got. It is a deterministic property

@@ -289,7 +289,8 @@ func TestMutexExcludes(t *testing.T) {
 	holders := 0
 	for i := 0; i < 5; i++ {
 		k.Go(fmt.Sprintf("g%d", i), func(p *Proc) {
-			mu.Lock(p)
+			mu.LockCall(Resume, p)
+			p.Park()
 			holders++
 			if holders != 1 {
 				t.Errorf("mutex held by %d", holders)

@@ -231,7 +231,7 @@ func TestKernelMaxPending(t *testing.T) {
 	if got := k.MaxPending(); got != 37 {
 		t.Fatalf("MaxPending = %d, want 37", got)
 	}
-	if got := k.Pending(); got != 0 {
+	if got := k.q.n; got != 0 {
 		t.Fatalf("Pending after drain = %d", got)
 	}
 }

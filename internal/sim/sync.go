@@ -179,12 +179,6 @@ func NewMutex(k *Kernel) *Mutex { return &Mutex{s: NewSemaphore(k, 1)} }
 // is free, else as the event the Unlock that hands it over books.
 func (m *Mutex) LockCall(fn func(any, error), arg any) { m.s.AcquireCall(1, fn, arg) }
 
-// Lock blocks p until the mutex is held.
-func (m *Mutex) Lock(p *Proc) {
-	m.LockCall(Resume, p)
-	p.Park()
-}
-
 // Unlock releases the mutex.
 func (m *Mutex) Unlock() { m.s.Release(1) }
 

@@ -96,7 +96,8 @@ func runSyncProcs(t *testing.T, seed int64) ([]syncStep, Stats) {
 				case 'r':
 					w.sem.Release(op.n)
 				case 'l':
-					w.mu.Lock(p)
+					w.mu.LockCall(Resume, p)
+					p.Park()
 				case 'u':
 					w.mu.Unlock()
 				case 'b':

@@ -84,7 +84,7 @@ func TestFailedFillLeavesNoResidue(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, d := range a.Members() {
-		d.InjectFaults(1, int64(i))
+		d.InjectFaultProfile(disk.FaultProfile{Rate: 1, Seed: int64(i)})
 	}
 	s1, err := readSig(fs, "f", 0, 64<<10, ReadOptions{})
 	if err != nil {
@@ -103,7 +103,7 @@ func TestFailedFillLeavesNoResidue(t *testing.T) {
 	// Heal the disks; the block must be re-read from disk, not served
 	// from a phantom cache entry.
 	for _, d := range a.Members() {
-		d.InjectFaults(0, 0)
+		d.InjectFaultProfile(disk.FaultProfile{})
 	}
 	opsBefore := fs.DiskOps
 	s3, err := readSig(fs, "f", 0, 64<<10, ReadOptions{})

@@ -71,17 +71,6 @@ type Handle struct {
 	v *vnode
 }
 
-// Valid reports whether the handle references a file.
-func (h Handle) Valid() bool { return h.v != nil }
-
-// Size reports the referenced file's length.
-func (h Handle) Size() int64 {
-	if h.v == nil {
-		return 0
-	}
-	return h.v.size
-}
-
 // FS is one I/O node's file system instance.
 type FS struct {
 	k     *sim.Kernel
@@ -129,9 +118,6 @@ func New(k *sim.Kernel, array *disk.Array, cfg Config) *FS {
 	}
 	return fs
 }
-
-// BlockSize reports the file system block size.
-func (fs *FS) BlockSize() int64 { return fs.cfg.BlockSize }
 
 // Array exposes the disk array beneath the file system (for stats
 // reporting and fault injection in tests).

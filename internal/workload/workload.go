@@ -242,19 +242,7 @@ func Run(cfg machine.Config, spec Spec) (*Result, error) {
 
 	switch {
 	case spec.Prefetch != nil:
-		pcfg := *spec.Prefetch
-		// Machine-level defaults fill only what the spec left open: the
-		// policy when neither a Predictor nor a Policy is set, and the
-		// controller when the spec's is disarmed. The struct conversion
-		// fails to compile if machine.PrefetchController ever drifts from
-		// prefetch.ControllerConfig.
-		if pcfg.Predictor == nil && pcfg.Policy == "" {
-			pcfg.Policy = cfg.Prefetch.Policy
-		}
-		if !pcfg.Controller.Enabled() {
-			pcfg.Controller = prefetch.ControllerConfig(cfg.Prefetch.Controller)
-		}
-		res.Prefetch = newPrefetcher(m, pcfg, spec.Trace)
+		res.Prefetch = newPrefetcher(m, *spec.Prefetch, spec.Trace)
 	case spec.ServerSide != nil:
 		res.ServerSide = prefetch.NewServerSide(m.K, *spec.ServerSide)
 	}
